@@ -16,6 +16,9 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+echo "==> benchmark unit tests (perfbench is its own Cargo workspace)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> property suites (fixed seed, bounded cases)"
 DOCQL_PROP_SEED=20260806 DOCQL_PROP_CASES=64 cargo test --workspace -q \
     --test prop_model --test prop_text --test prop_sgml --test prop_paths \

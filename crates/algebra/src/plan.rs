@@ -426,15 +426,13 @@ impl Op {
             Op::Filter { input, atom } => {
                 let rows = input.run(instance, ev, ctx, input_rows, child_id(ctx, node, 0))?;
                 let mut result = Vec::new();
+                let atom = docql_calculus::Formula::Atom(atom.clone());
                 for row in rows {
                     if !guard_row(ctx)? {
                         break;
                     }
                     let kept = ev
-                        .eval_formula(
-                            &docql_calculus::Formula::Atom(atom.clone()),
-                            vec![row.clone()],
-                        )
+                        .eval_formula(&atom, vec![row.clone()])
                         .map_err(|e| crate::AlgebraError(e.to_string()))?;
                     // A filter must not bind — keep the original row.
                     if !kept.is_empty() {

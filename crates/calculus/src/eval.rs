@@ -17,7 +17,7 @@
 //! * the §5.3 rule "each atom where this occurs is **false**" is realised by
 //!   undefined term evaluations producing no bindings rather than errors.
 
-use crate::interp::{CalcValue, Interp, InterpCtx, InterpError};
+use crate::interp::{CalcValue, Interp, InterpCtx, InterpError, MatcherMemo};
 use crate::term::{Atom, AttrTerm, DataTerm, Formula, IntTerm, PathAtom, Query, Var};
 use docql_model::{Instance, Sym, Value};
 use docql_paths::{ConcretePath, EnumOptions, PathSemantics, PathStep};
@@ -78,6 +78,8 @@ pub struct Evaluator<'a> {
     /// Execution governance: atom loops charge rows, path walks charge
     /// fuel. `None` (the default) costs one pointer test per row.
     pub guard: Option<&'a docql_guard::Guard>,
+    /// `contains` patterns compiled so far in this evaluation.
+    matchers: MatcherMemo,
 }
 
 impl<'a> Evaluator<'a> {
@@ -89,6 +91,7 @@ impl<'a> Evaluator<'a> {
             semantics: PathSemantics::Restricted,
             set_elements: true,
             guard: None,
+            matchers: MatcherMemo::default(),
         }
     }
 
@@ -229,11 +232,11 @@ impl<'a> Evaluator<'a> {
         while !remaining.is_empty() {
             let pick = remaining
                 .iter()
-                .position(|f| self.runnable(f, &bound).is_some());
+                .enumerate()
+                .find_map(|(i, f)| Some((i, self.runnable(f, &bound)?)));
             match pick {
-                Some(i) => {
+                Some((i, provides)) => {
                     let f = remaining.remove(i);
-                    let provides = self.runnable(f, &bound).expect("checked");
                     envs = self.eval_formula(f, envs)?;
                     bound.extend(provides);
                     if envs.is_empty() {
@@ -261,11 +264,12 @@ impl<'a> Evaluator<'a> {
                 let mut b = bound.clone();
                 let mut remaining: Vec<&Formula> = fs.iter().collect();
                 while !remaining.is_empty() {
-                    let pick = remaining
+                    let (pick, provides) = remaining
                         .iter()
-                        .position(|g| self.runnable(g, &b).is_some())?;
-                    let g = remaining.remove(pick);
-                    b.extend(self.runnable(g, &b).expect("checked"));
+                        .enumerate()
+                        .find_map(|(i, g)| Some((i, self.runnable(g, &b)?)))?;
+                    remaining.remove(pick);
+                    b.extend(provides);
                 }
                 Some(b.difference(bound).copied().collect())
             }
@@ -454,6 +458,7 @@ impl<'a> Evaluator<'a> {
                     let ctx = InterpCtx {
                         instance: self.instance,
                         guard: self.guard,
+                        matchers: &self.matchers,
                     };
                     if ok && self.interp.pred(&ctx, *name, &vals)? {
                         out.push(env);
@@ -573,6 +578,7 @@ impl<'a> Evaluator<'a> {
                 let ctx = InterpCtx {
                     instance: self.instance,
                     guard: self.guard,
+                    matchers: &self.matchers,
                 };
                 Ok(Some(self.interp.func(&ctx, *name, &vals)?))
             }

@@ -10,9 +10,12 @@
 use docql_model::sym;
 use docql_model::{Sym, Value};
 use docql_paths::ConcretePath;
-use docql_text::{ContainsExpr, NearUnit};
-use std::collections::BTreeMap;
+use docql_text::{ContainsExpr, ContainsMatcher, NearUnit, PatternError};
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::rc::Rc;
 
 /// A multi-sorted runtime value: data, path or attribute.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,6 +74,29 @@ impl fmt::Display for InterpError {
     }
 }
 
+/// Compiled `contains` patterns of one evaluation, keyed by pattern text.
+///
+/// An [`Evaluator`](crate::Evaluator) owns one, so each pattern constant of
+/// a query is parsed and compiled once rather than once per row. It lives
+/// only as long as that evaluation, and only patterns that parse are
+/// stored: a bad pattern fails again on every call.
+#[derive(Default)]
+pub struct MatcherMemo(RefCell<HashMap<String, Rc<ContainsMatcher>>>);
+
+impl MatcherMemo {
+    /// The compiled matcher for `pattern`, compiling it on first use.
+    pub fn get(&self, pattern: &str) -> Result<Rc<ContainsMatcher>, PatternError> {
+        if let Some(m) = self.0.borrow().get(pattern) {
+            return Ok(Rc::clone(m));
+        }
+        let m = Rc::new(ContainsExpr::pattern(pattern)?.compile());
+        self.0
+            .borrow_mut()
+            .insert(pattern.to_owned(), Rc::clone(&m));
+        Ok(m)
+    }
+}
+
 /// Evaluation context handed to interpreted predicates/functions: gives
 /// them access to the instance so they can dereference objects (e.g.
 /// `contains` applied to a `Title` *object* reads its text).
@@ -80,6 +106,8 @@ pub struct InterpCtx<'a> {
     /// Execution governance, when the query runs under limits: `contains`/
     /// `near` charge scan fuel against it before scanning.
     pub guard: Option<&'a docql_guard::Guard>,
+    /// The evaluation's compiled `contains` patterns.
+    pub matchers: &'a MatcherMemo,
 }
 
 /// Marker carried by [`InterpError`] when a guard interrupts an interpreted
@@ -88,11 +116,13 @@ pub struct InterpCtx<'a> {
 pub const INTERRUPTED: &str = "execution interrupted by guard";
 
 impl<'a> InterpCtx<'a> {
-    /// An ungoverned context over `instance`.
-    pub fn new(instance: &'a docql_model::Instance) -> InterpCtx<'a> {
+    /// An ungoverned context over `instance`, compiling patterns into
+    /// `matchers`.
+    pub fn new(instance: &'a docql_model::Instance, matchers: &'a MatcherMemo) -> InterpCtx<'a> {
         InterpCtx {
             instance,
             guard: None,
+            matchers,
         }
     }
 }
@@ -134,8 +164,7 @@ impl InterpCtx<'_> {
             }
             Value::Oid(o) if visited.insert(o.0) => {
                 if let Ok(inner) = self.instance.value_of(*o) {
-                    let inner = inner.clone();
-                    self.collect_text(&inner, out, visited);
+                    self.collect_text(inner, out, visited);
                 }
             }
             _ => {}
@@ -285,12 +314,23 @@ impl Interp {
     }
 }
 
-fn str_arg(args: &[CalcValue], i: usize, what: &str) -> Result<String, InterpError> {
+fn str_arg<'v>(args: &'v [CalcValue], i: usize, what: &str) -> Result<&'v str, InterpError> {
     match args.get(i) {
-        Some(CalcValue::Data(Value::Str(s))) => Ok(s.clone()),
+        Some(CalcValue::Data(Value::Str(s))) => Ok(s),
         other => Err(InterpError(format!(
             "{what}: expected a string argument, got {other:?}"
         ))),
+    }
+}
+
+/// The text an IRS predicate scans: a string as is, or an object's textual
+/// content — the system-supplied inverse mapping of Q2. `None` for any
+/// other value.
+fn scan_text<'v>(ctx: &InterpCtx<'_>, arg: Option<&'v CalcValue>) -> Option<Cow<'v, str>> {
+    match arg {
+        Some(CalcValue::Data(Value::Str(s))) => Some(Cow::Borrowed(s)),
+        Some(CalcValue::Data(v @ Value::Oid(_))) => Some(Cow::Owned(ctx.textify(v))),
+        _ => None,
     }
 }
 
@@ -308,25 +348,22 @@ fn int_arg(args: &[CalcValue], i: usize, what: &str) -> Result<i64, InterpError>
 /// expressed as conjunctions/disjunctions of `contains` atoms by the
 /// O₂SQL translation.
 fn p_contains(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
-    let text = match args.first() {
-        Some(CalcValue::Data(Value::Str(s))) => s.clone(),
-        // Objects (e.g. a Title) contain their textual content — the
-        // system-supplied inverse mapping of Q2.
-        Some(CalcValue::Data(v @ Value::Oid(_))) => ctx.textify(v),
-        // Other non-string data never contains anything (false, not an
-        // error — the §5.3 "assume each atom where this occurs is false"
-        // rule).
-        Some(CalcValue::Data(_)) => return Ok(false),
-        other => {
-            return Err(InterpError(format!(
+    let Some(text) = scan_text(ctx, args.first()) else {
+        return match args.first() {
+            // Other non-string data never contains anything (false, not an
+            // error — the §5.3 "assume each atom where this occurs is
+            // false" rule).
+            Some(CalcValue::Data(_)) => Ok(false),
+            other => Err(InterpError(format!(
                 "contains: expected data, got {other:?}"
-            )));
-        }
+            ))),
+        };
     };
-    let pattern = str_arg(args, 1, "contains")?;
-    let expr = ContainsExpr::pattern(&pattern)
+    let matcher = ctx
+        .matchers
+        .get(str_arg(args, 1, "contains")?)
         .map_err(|e| InterpError(format!("contains: bad pattern: {e}")))?;
-    match expr.compile().eval_guarded(&text, ctx.guard) {
+    match matcher.eval_guarded(&text, ctx.guard) {
         Some(b) => Ok(b),
         None => interrupted(ctx),
     }
@@ -343,22 +380,32 @@ fn interrupted(ctx: &InterpCtx<'_>) -> Result<bool, InterpError> {
 
 /// `near(text, w1, w2, k)` — within `k` words.
 fn p_near(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
-    let text = match args.first() {
-        Some(CalcValue::Data(Value::Str(s))) => s.clone(),
-        Some(CalcValue::Data(v @ Value::Oid(_))) => ctx.textify(v),
-        _ => str_arg(args, 0, "near")?,
+    near_pred(ctx, args, "near", NearUnit::Words)
+}
+
+/// `near_chars(text, w1, w2, k)` — within `k` characters (§4.1 mentions
+/// both units).
+fn p_near_chars(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
+    near_pred(ctx, args, "near_chars", NearUnit::Chars)
+}
+
+/// `near` in either unit, charging scan fuel like `contains`.
+fn near_pred(
+    ctx: &InterpCtx<'_>,
+    args: &[CalcValue],
+    what: &str,
+    unit: NearUnit,
+) -> Result<bool, InterpError> {
+    let Some(text) = scan_text(ctx, args.first()) else {
+        return Err(InterpError(format!(
+            "{what}: expected a string argument, got {:?}",
+            args.first()
+        )));
     };
-    let w1 = str_arg(args, 1, "near")?;
-    let w2 = str_arg(args, 2, "near")?;
-    let k = int_arg(args, 3, "near")?;
-    match docql_text::near_guarded(
-        &text,
-        &w1,
-        &w2,
-        usize::try_from(k).unwrap_or(0),
-        NearUnit::Words,
-        ctx.guard,
-    ) {
+    let w1 = str_arg(args, 1, what)?;
+    let w2 = str_arg(args, 2, what)?;
+    let k = usize::try_from(int_arg(args, 3, what)?).unwrap_or(0);
+    match docql_text::near_guarded(&text, w1, w2, k, unit, ctx.guard) {
         Some(b) => Ok(b),
         None => interrupted(ctx),
     }
@@ -511,26 +558,6 @@ fn f_element(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
     }
 }
 
-/// `near_chars(text, w1, w2, k)` — within `k` characters (§4.1 mentions
-/// both units).
-fn p_near_chars(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<bool, InterpError> {
-    let text = match args.first() {
-        Some(CalcValue::Data(Value::Str(s))) => s.clone(),
-        Some(CalcValue::Data(v @ Value::Oid(_))) => ctx.textify(v),
-        _ => str_arg(args, 0, "near_chars")?,
-    };
-    let w1 = str_arg(args, 1, "near_chars")?;
-    let w2 = str_arg(args, 2, "near_chars")?;
-    let k = int_arg(args, 3, "near_chars")?;
-    Ok(docql_text::near(
-        &text,
-        &w1,
-        &w2,
-        usize::try_from(k).unwrap_or(0),
-        NearUnit::Chars,
-    ))
-}
-
 /// `sort_by(collection, "attr")` — list the elements ordered by the named
 /// attribute (the paper's suggested companion to `set_to_list`). Elements
 /// missing the attribute sort last; objects are dereferenced to read it.
@@ -541,7 +568,7 @@ fn f_sort_by(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
             return Err(InterpError(format!("sort_by: bad collection {other:?}")));
         }
     };
-    let attr = docql_model::sym(&str_arg(args, 1, "sort_by")?);
+    let attr = docql_model::sym(str_arg(args, 1, "sort_by")?);
     let mut keyed: Vec<(Option<Value>, Value)> = items
         .into_iter()
         .map(|v| {
@@ -568,8 +595,7 @@ fn f_sort_by(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
 /// a tuple viewed as a heterogeneous list (§4.4 / Q6). A marked-union value
 /// looks through its marker.
 fn f_positions(ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, InterpError> {
-    let name = str_arg(args, 1, "positions")?;
-    let name = docql_model::sym(&name);
+    let name = docql_model::sym(str_arg(args, 1, "positions")?);
     fn hetero(v: &Value) -> Option<Vec<(Sym, Value)>> {
         match v {
             Value::Tuple(fs) => Some(fs.clone()),
@@ -598,7 +624,7 @@ fn f_concat(_ctx: &InterpCtx<'_>, args: &[CalcValue]) -> Result<CalcValue, Inter
     let mut out = String::new();
     for (i, a) in args.iter().enumerate() {
         out.push_str(
-            &str_arg(std::slice::from_ref(a), 0, "concat")
+            str_arg(std::slice::from_ref(a), 0, "concat")
                 .map_err(|_| InterpError(format!("concat: argument {i} is not a string")))?,
         );
     }
@@ -627,13 +653,15 @@ mod tests {
 
     fn call_pred(i: &Interp, name: Sym, args: &[CalcValue]) -> Result<bool, InterpError> {
         let inst = test_instance();
-        let ctx = InterpCtx::new(&inst);
+        let matchers = MatcherMemo::default();
+        let ctx = InterpCtx::new(&inst, &matchers);
         i.pred(&ctx, name, args)
     }
 
     fn call_func(i: &Interp, name: Sym, args: &[CalcValue]) -> Result<CalcValue, InterpError> {
         let inst = test_instance();
-        let ctx = InterpCtx::new(&inst);
+        let matchers = MatcherMemo::default();
+        let ctx = InterpCtx::new(&inst, &matchers);
         i.func(&ctx, name, args)
     }
 

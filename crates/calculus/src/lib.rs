@@ -8,13 +8,15 @@
 //! selectors, the marking-attribute omissions, and the false-on-missing-
 //! attribute rule.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod eval;
 pub mod interp;
 pub mod term;
 pub mod typing;
 
 pub use eval::{calc_to_value, check_range_restricted, CalcError, Env, Evaluator};
-pub use interp::{CalcValue, Interp, InterpCtx, InterpError};
+pub use interp::{CalcValue, Interp, InterpCtx, InterpError, MatcherMemo};
 pub use term::{
     Atom, AttrTerm, DataTerm, Formula, IntTerm, PathAtom, PathTerm, Query, QueryBuilder, Sort, Var,
 };

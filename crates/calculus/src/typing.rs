@@ -73,11 +73,11 @@ pub fn infer_types(q: &Query, schema: &Schema) -> TypeInfo {
 
 /// Several candidate types combine into a marked union with system markers.
 fn combine_types(types: BTreeSet<Type>) -> Type {
-    let mut list: Vec<Type> = types.into_iter().collect();
-    match list.len() {
-        0 => Type::Any,
-        1 => list.pop().expect("len checked"),
-        _ => Type::Union(
+    let list: Vec<Type> = types.into_iter().collect();
+    match <[Type; 1]>::try_from(list) {
+        Ok([only]) => only,
+        Err(list) if list.is_empty() => Type::Any,
+        Err(list) => Type::Union(
             list.into_iter()
                 .enumerate()
                 .map(|(i, t)| docql_model::Field::new(sym(&format!("α{}", i + 1)), t))

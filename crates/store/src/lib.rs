@@ -1167,39 +1167,6 @@ impl DocStore {
     pub fn index_stats(&self) -> (usize, usize) {
         (self.index.doc_count(), self.index.term_count())
     }
-
-    /// Persist the store to a directory: the DTD and every document
-    /// exported back to SGML text. Documents are the paper's exchange
-    /// format (footnote 1) — a store round-trips through its own
-    /// serialisation losslessly (modulo whitespace normalisation).
-    pub fn save_dir(&self, dir: &std::path::Path) -> Result<(), StoreError> {
-        std::fs::create_dir_all(dir).map_err(io_err)?;
-        std::fs::write(dir.join("schema.dtd"), self.dtd.to_string()).map_err(io_err)?;
-        for (i, &root) in self.documents.iter().enumerate() {
-            let doc = self.export(root)?;
-            std::fs::write(dir.join(format!("doc{i:05}.sgml")), doc.to_sgml()).map_err(io_err)?;
-        }
-        Ok(())
-    }
-
-    /// Load a store saved by [`DocStore::save_dir`]. Named roots must be
-    /// re-declared (they are binding state, not document content).
-    pub fn load_dir(dir: &std::path::Path, extra_roots: &[&str]) -> Result<DocStore, StoreError> {
-        let dtd_text = std::fs::read_to_string(dir.join("schema.dtd")).map_err(io_err)?;
-        let mut store = DocStore::new(&dtd_text, extra_roots)?;
-        let mut names: Vec<_> = std::fs::read_dir(dir)
-            .map_err(io_err)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "sgml"))
-            .collect();
-        names.sort();
-        for path in names {
-            let text = std::fs::read_to_string(&path).map_err(io_err)?;
-            store.ingest(&text)?;
-        }
-        Ok(store)
-    }
 }
 
 /// A `DocStore` is its own statistics snapshot: the counters the cost
@@ -2001,41 +1968,5 @@ mod tests {
         let mut store = DocStore::new(docql_sgml::fixtures::ARTICLE_DTD, &[]).unwrap();
         let root = store.ingest(FIG2_DOCUMENT).unwrap();
         assert!(store.bind("nope", root).is_err());
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use docql_sgml::fixtures::{ARTICLE_DTD, FIG2_DOCUMENT};
-
-    #[test]
-    fn save_and_load_round_trip() {
-        let mut store = DocStore::new(ARTICLE_DTD, &[]).unwrap();
-        store.ingest(FIG2_DOCUMENT).unwrap();
-        let second = FIG2_DOCUMENT.replace(
-            "From Structured Documents to Novel Query Facilities",
-            "A Second Document",
-        );
-        store.ingest(&second).unwrap();
-
-        let dir = std::env::temp_dir().join(format!("docql-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        store.save_dir(&dir).unwrap();
-        let restored = DocStore::load_dir(&dir, &[]).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-
-        assert_eq!(restored.documents().len(), 2);
-        assert!(restored.check().is_empty());
-        assert_eq!(
-            store.instance().object_count(),
-            restored.instance().object_count()
-        );
-        // Queries agree across the round trip.
-        let q = "select t from Articles PATH_p.title(t)";
-        assert_eq!(
-            store.query(q).unwrap().len(),
-            restored.query(q).unwrap().len()
-        );
     }
 }

@@ -50,15 +50,8 @@ impl ContainsExpr {
     /// operators)? For such expressions the positional inverted index
     /// answers *exactly* — no re-check against stored text is needed.
     pub fn is_word_exact(&self) -> bool {
-        fn literal(p: &Pattern) -> bool {
-            match p {
-                Pattern::Empty | Pattern::Char(_) => true,
-                Pattern::Concat(items) => items.iter().all(literal),
-                _ => false,
-            }
-        }
         match self {
-            ContainsExpr::Pattern(p) => literal(p),
+            ContainsExpr::Pattern(p) => p.literal_text().is_some(),
             ContainsExpr::And(items) | ContainsExpr::Or(items) => {
                 items.iter().all(ContainsExpr::is_word_exact)
             }

@@ -7,6 +7,8 @@
 //! `near` proximity predicate ([`mod@near`]); and a positional inverted index
 //! with vocabulary-grep support for pattern queries ([`index`]).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod contains;
 pub mod index;
 pub mod metrics;

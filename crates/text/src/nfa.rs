@@ -47,6 +47,10 @@ impl CharTest {
 pub struct Nfa {
     states: Vec<Trans>,
     start: usize,
+    /// The pattern's text when it is a pure literal (`Empty`, or `Char`s
+    /// under `Concat`): [`Nfa::find`] then runs a substring search, which
+    /// returns exactly the simulation's leftmost, shortest match.
+    literal: Option<String>,
 }
 
 impl Nfa {
@@ -58,6 +62,7 @@ impl Nfa {
         Nfa {
             states: b.states,
             start,
+            literal: pattern.literal_text(),
         }
     }
 
@@ -69,103 +74,108 @@ impl Nfa {
     /// Leftmost match: `(start_byte, end_byte)` of the first occurrence
     /// (shortest end for that start).
     pub fn find(&self, text: &str) -> Option<(usize, usize)> {
-        // Lock-step simulation from every start offset, all at once: each
-        // active thread remembers the byte offset where it started.
+        match &self.literal {
+            Some(lit) => text.find(lit.as_str()).map(|i| (i, i + lit.len())),
+            None => self.simulate(text),
+        }
+    }
+
+    /// Lock-step simulation from every start offset, all at once: each
+    /// active thread remembers the byte offset where it started. The thread
+    /// lists and the ε-closure stack are allocated once and reused for
+    /// every character.
+    fn simulate(&self, text: &str) -> Option<(usize, usize)> {
         let mut current: Vec<(usize, usize)> = Vec::new(); // (state, started_at)
-        let mut seen = vec![usize::MAX; self.states.len()];
-        let mut best: Option<(usize, usize)> = None;
-
-        let add = |threads: &mut Vec<(usize, usize)>,
-                   seen: &mut Vec<usize>,
-                   stamp: usize,
-                   state: usize,
-                   started: usize,
-                   states: &[Trans],
-                   best: &mut Option<(usize, usize)>,
-                   here: usize| {
-            // DFS through ε-closure.
-            let mut stack = vec![(state, started)];
-            while let Some((s, st)) = stack.pop() {
-                if seen[s] == stamp {
-                    continue;
-                }
-                seen[s] = stamp;
-                match &states[s] {
-                    Trans::Eps(targets) => {
-                        for &t in targets {
-                            stack.push((t, st));
-                        }
-                    }
-                    Trans::Accept => {
-                        let cand = (st, here);
-                        if best.is_none_or(|(bs, be)| cand.0 < bs || (cand.0 == bs && cand.1 < be))
-                        {
-                            *best = Some(cand);
-                        }
-                    }
-                    Trans::Char { .. } => threads.push((s, st)),
-                }
-            }
+        let mut next: Vec<(usize, usize)> = Vec::new();
+        let mut sim = Sim {
+            states: &self.states,
+            seen: vec![usize::MAX; self.states.len()],
+            stamp: 0,
+            stack: Vec::new(),
+            best: None,
         };
-
-        let mut stamp = 0usize;
         // Seed at offset 0.
-        add(
-            &mut current,
-            &mut seen,
-            stamp,
-            self.start,
-            0,
-            &self.states,
-            &mut best,
-            0,
-        );
+        sim.add(&mut current, self.start, 0, 0);
         let mut offsets = text.char_indices().peekable();
         while let Some((_at, c)) = offsets.next() {
             let next_at = offsets.peek().map(|&(i, _)| i).unwrap_or(text.len());
-            stamp += 1;
-            let mut next: Vec<(usize, usize)> = Vec::new();
+            sim.stamp += 1;
+            next.clear();
             for &(s, st) in &current {
                 if let Trans::Char { test, to } = &self.states[s] {
                     if test.matches(c) {
-                        add(
-                            &mut next,
-                            &mut seen,
-                            stamp,
-                            *to,
-                            st,
-                            &self.states,
-                            &mut best,
-                            next_at,
-                        );
+                        sim.add(&mut next, *to, st, next_at);
                     }
                 }
             }
             // New thread starting at the next character boundary.
-            add(
-                &mut next,
-                &mut seen,
-                stamp,
-                self.start,
-                next_at,
-                &self.states,
-                &mut best,
-                next_at,
-            );
-            current = next;
+            sim.add(&mut next, self.start, next_at, next_at);
+            std::mem::swap(&mut current, &mut next);
             // Leftmost match already found and no thread can start earlier.
-            if let Some((bs, _)) = best {
+            if let Some((bs, _)) = sim.best {
                 if current.iter().all(|&(_, st)| st > bs) {
                     break;
                 }
             }
         }
-        best
+        sim.best
+    }
+
+    /// Does [`Nfa::find`] run a substring search instead of the simulation?
+    pub fn is_literal(&self) -> bool {
+        self.literal.is_some()
     }
 
     /// Number of NFA states (diagnostics / benches).
     pub fn state_count(&self) -> usize {
         self.states.len()
+    }
+}
+
+/// Scratch state of one [`Nfa::simulate`] run.
+struct Sim<'n> {
+    states: &'n [Trans],
+    /// `seen[s] == stamp` when state `s` is already in this step's list.
+    seen: Vec<usize>,
+    stamp: usize,
+    /// DFS stack for ε-closures, empty between calls.
+    stack: Vec<(usize, usize)>,
+    best: Option<(usize, usize)>,
+}
+
+impl Sim<'_> {
+    /// Add the ε-closure of `state` (a thread started at byte `started`) to
+    /// `threads`, recording a match ending at byte `here` if it accepts.
+    fn add(
+        &mut self,
+        threads: &mut Vec<(usize, usize)>,
+        state: usize,
+        started: usize,
+        here: usize,
+    ) {
+        let states = self.states;
+        self.stack.push((state, started));
+        while let Some((s, st)) = self.stack.pop() {
+            if self.seen[s] == self.stamp {
+                continue;
+            }
+            self.seen[s] = self.stamp;
+            match &states[s] {
+                Trans::Eps(targets) => {
+                    self.stack.extend(targets.iter().map(|&t| (t, st)));
+                }
+                Trans::Accept => {
+                    let cand = (st, here);
+                    if self
+                        .best
+                        .is_none_or(|(bs, be)| cand.0 < bs || (cand.0 == bs && cand.1 < be))
+                    {
+                        self.best = Some(cand);
+                    }
+                }
+                Trans::Char { .. } => threads.push((s, st)),
+            }
+        }
     }
 }
 
@@ -304,6 +314,33 @@ mod tests {
         let pat = format!("{}{}", "a?".repeat(n), "a".repeat(n));
         let text = "a".repeat(n);
         assert!(m(&pat, &text));
+    }
+
+    #[test]
+    fn literal_patterns_take_the_substring_path() {
+        for (pat, literal) in [("", true), ("SGML", true), ("(ab)c", true), ("a[b]", false)] {
+            let nfa = Nfa::compile(&Pattern::parse(pat).unwrap());
+            assert_eq!(nfa.is_literal(), literal, "{pat:?}");
+        }
+    }
+
+    #[test]
+    fn literal_find_matches_the_simulation() {
+        // (literal, its last character as a class, text)
+        let cases = [
+            ("", "()?", "abc"),
+            ("", "()?", ""),
+            ("aab", "aa[b]", "aaab"),
+            ("abcd", "abc[d]", "abc"),
+            ("é€", "é[€]", "cafée€!"),
+            ("b", "[b]", "aabbb"),
+        ];
+        for (lit, classed, text) in cases {
+            let fast = Nfa::compile(&Pattern::parse(lit).unwrap());
+            let slow = Nfa::compile(&Pattern::parse(classed).unwrap());
+            assert!(fast.is_literal() && !slow.is_literal());
+            assert_eq!(fast.find(text), slow.find(text), "{lit:?} in {text:?}");
+        }
     }
 
     #[test]

@@ -72,6 +72,25 @@ impl Pattern {
     pub fn literal(text: &str) -> Pattern {
         Pattern::Concat(text.chars().map(Pattern::Char).collect())
     }
+
+    /// The one string this pattern matches, when it is a pure literal:
+    /// `Empty`, or `Char`s under (nested) `Concat`. The inverse of
+    /// [`Pattern::literal`].
+    pub fn literal_text(&self) -> Option<String> {
+        fn push(p: &Pattern, out: &mut String) -> bool {
+            match p {
+                Pattern::Empty => true,
+                Pattern::Char(c) => {
+                    out.push(*c);
+                    true
+                }
+                Pattern::Concat(items) => items.iter().all(|i| push(i, out)),
+                _ => false,
+            }
+        }
+        let mut out = String::new();
+        push(self, &mut out).then_some(out)
+    }
 }
 
 struct Parser {
@@ -108,10 +127,9 @@ impl Parser {
             self.bump();
             alts.push(self.concat()?);
         }
-        Ok(if alts.len() == 1 {
-            alts.pop().expect("len checked")
-        } else {
-            Pattern::Alt(alts)
+        Ok(match <[Pattern; 1]>::try_from(alts) {
+            Ok([only]) => only,
+            Err(alts) => Pattern::Alt(alts),
         })
     }
 
@@ -123,10 +141,10 @@ impl Parser {
             }
             items.push(self.repeat()?);
         }
-        Ok(match items.len() {
-            0 => Pattern::Empty,
-            1 => items.pop().expect("len checked"),
-            _ => Pattern::Concat(items),
+        Ok(match <[Pattern; 1]>::try_from(items) {
+            Ok([only]) => only,
+            Err(items) if items.is_empty() => Pattern::Empty,
+            Err(items) => Pattern::Concat(items),
         })
     }
 
@@ -211,18 +229,13 @@ impl Parser {
                     })?;
                     ranges.push((c, c));
                 }
-                Some(lo) => {
-                    if self.peek() == Some('-')
-                        && self.chars.get(self.pos + 1).map(|&(_, c)| c) != Some(']')
-                        && self.chars.get(self.pos + 1).is_some()
-                    {
-                        self.bump(); // the dash
-                        let hi = self.bump().expect("checked above");
+                Some(lo) => match (self.peek(), self.chars.get(self.pos + 1)) {
+                    (Some('-'), Some(&(_, hi))) if hi != ']' => {
+                        self.pos += 2; // the dash and `hi`
                         ranges.push((lo, hi));
-                    } else {
-                        ranges.push((lo, lo));
                     }
-                }
+                    _ => ranges.push((lo, lo)),
+                },
             }
         }
         Ok(Pattern::Class { negated, ranges })

@@ -277,3 +277,50 @@ fn candidates_is_a_superset_of_substring_matches() {
         },
     );
 }
+
+/// Leftmost occurrence of `lit` in `text` by trying every character
+/// boundary in turn.
+fn naive_find(text: &str, lit: &str) -> Option<(usize, usize)> {
+    (0..=text.len())
+        .filter(|&i| text.is_char_boundary(i))
+        .find(|&i| text[i..].starts_with(lit))
+        .map(|i| (i, i + lit.len()))
+}
+
+/// The same language as `Pattern::literal(lit)`, but not a literal: the
+/// last character becomes the one-character class `[c]`, so `Nfa::find`
+/// runs the simulation.
+fn classed(lit: &str) -> Pattern {
+    let mut items: Vec<Pattern> = lit.chars().map(Pattern::Char).collect();
+    match items.pop() {
+        Some(Pattern::Char(c)) => items.push(Pattern::Class {
+            negated: false,
+            ranges: vec![(c, c)],
+        }),
+        _ => return Pattern::Opt(Box::new(Pattern::Empty)),
+    }
+    Pattern::Concat(items)
+}
+
+#[test]
+fn literal_find_agrees_with_naive_search_and_simulation() {
+    // Two-letter alphabets make overlapping prefixes (`aab` in `aaab`)
+    // common; `é` and `€` are two and three bytes long; literals run up to
+    // longer than any text.
+    let text = one_of(vec![string_of("ab", 0, 10), string_of("ab é€", 0, 10)]);
+    let lit = one_of(vec![string_of("ab", 0, 4), string_of("aé€", 0, 12)]);
+    check(
+        "literal_find_agrees_with_naive_search_and_simulation",
+        CASES,
+        &zip(text, lit),
+        |(text, lit)| {
+            let fast = Nfa::compile(&Pattern::literal(lit));
+            let slow = Nfa::compile(&classed(lit));
+            prop_assert!(fast.is_literal() && !slow.is_literal(), "{lit:?}");
+            let expected = naive_find(text, lit);
+            prop_assert_eq!(fast.find(text), expected, "{lit:?} in {text:?}");
+            prop_assert_eq!(slow.find(text), expected, "{lit:?} in {text:?}");
+            Ok(())
+        },
+    );
+}

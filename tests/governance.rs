@@ -103,6 +103,37 @@ fn path_fuel_trips_on_path_queries() {
 }
 
 #[test]
+fn near_chars_charges_scan_fuel() {
+    // No path walks: the only fuel this query burns is the text scans.
+    let store = corpus_store(8);
+    let q = "select a from a in Articles \
+             where near_chars(text(a), \"SGML\", \"OODBMS\", 1000)";
+    let full = store.query(q).unwrap();
+    assert!(!full.is_empty(), "corpus plants both words");
+
+    let strict = QueryLimits::none().with_path_fuel(1);
+    assert_eq!(
+        exec_err(store.query_with_limits(q, &strict)),
+        ExecError::BudgetExhausted(Resource::PathFuel)
+    );
+    assert_eq!(
+        exec_err(store.query_algebraic_with_limits(q, &strict)),
+        ExecError::BudgetExhausted(Resource::PathFuel)
+    );
+
+    let degrade = QueryLimits::none().with_path_fuel(1).with_degrade();
+    let partial = store.query_with_limits(q, &degrade).unwrap();
+    assert_eq!(
+        partial.partial,
+        Some(ExecError::BudgetExhausted(Resource::PathFuel))
+    );
+    assert!(partial.len() < full.len());
+    for row in &partial.rows {
+        assert!(full.rows.contains(row), "partial row not in full answer");
+    }
+}
+
+#[test]
 fn cancellation_is_observed() {
     let store = corpus_store(4);
     let token = CancelToken::new();
