@@ -7,6 +7,9 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
+# Also the panic gate: library crates carry
+# `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]`,
+# so an unwrap/expect on a non-test path fails this step.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release && cargo test -q"
@@ -45,56 +48,6 @@ echo "==> planner differential suite (fixed seed, cost-based vs heuristic)"
 DOCQL_PROP_SEED=20260806 DOCQL_PROP_CASES=64 cargo test -q -p docql-store \
     --test planner_diff
 
-echo "==> no panicking unwrap/expect on crates/model library paths"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/model/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/model must stay panic-free" >&2
-    exit 1
-fi
-
-echo "==> no panicking unwrap/expect on crates/durable library paths"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/durable/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/durable must stay panic-free" >&2
-    exit 1
-fi
-
-echo "==> no panicking unwrap/expect on crates/algebra library paths (planner)"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/algebra/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/algebra must stay panic-free" >&2
-    exit 1
-fi
-
-echo "==> no panicking unwrap/expect on crates/obs library paths (tracing must never fail a query)"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/obs/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/obs must stay panic-free" >&2
-    exit 1
-fi
-
-echo "==> no panicking unwrap/expect on crates/serve library paths (a hostile request must never kill the server)"
-if awk 'FNR==1 { intests=0 } /#\[cfg\(test\)\]/ { intests=1 } \
-       !intests && /\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0; bad=1 } \
-       END { exit bad }' crates/serve/src/*.rs; then
-    echo "    clean"
-else
-    echo "    panic sites above — crates/serve must stay panic-free" >&2
-    exit 1
-fi
-
 echo "==> bench smoke (1 ms window per benchmark target)"
 DOCQL_BENCH_MS=1 cargo bench --workspace -q >/dev/null
 
@@ -116,8 +69,8 @@ DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench trace_overhead | grep "^B
 echo "==> B15 interleaved smoke (drift-immune traced vs untraced)"
 cargo run -q --release -p docql-bench --example b15_interleaved
 
-echo "==> B16 serve-load smoke (HTTP over the wire, 1 ms windows)"
-DOCQL_BENCH_MS=1 cargo bench -q -p docql-bench --bench serve_load | grep "^B16"
+echo "==> B16 serve-load smoke (HTTP over the wire, 500 ms windows: crosses a connection recycle)"
+DOCQL_BENCH_MS=500 cargo bench -q -p docql-bench --bench serve_load | grep "^B16"
 
 echo "==> profile_query example (EXPLAIN ANALYZE + metrics export)"
 cargo run -q --example profile_query >/dev/null

@@ -12,6 +12,8 @@
 //! algebraizer refuses — "our algebra should include some form of transitive
 //! closure/fixpoint operator".
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod algebraize;
 pub mod compile;
 pub mod cost;

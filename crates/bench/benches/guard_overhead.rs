@@ -42,13 +42,22 @@ fn bench_guard_overhead(c: &mut Criterion) {
     group.sample_size(20);
     for (name, q) in queries {
         group.bench_function(BenchmarkId::new(name, "ungoverned"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+            b.iter(|| {
+                black_box(
+                    store
+                        .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .len(),
+                )
+            })
         });
         group.bench_function(BenchmarkId::new(name, "governed"), |b| {
             b.iter(|| {
                 black_box(
                     store
-                        .query_algebraic_with_limits(black_box(q), &ample)
+                        .query_traced(black_box(q), Mode::Algebraic, &ample)
+                        .0
                         .unwrap()
                         .len(),
                 )

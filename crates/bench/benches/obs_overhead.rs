@@ -7,6 +7,7 @@
 //! per-operator timing. The disabled column is the ≤ 3 % acceptance gate
 //! against B6; the other two document what turning observability on costs.
 
+use docql::prelude::{Mode, QueryLimits};
 use docql_bench::harness::{BenchmarkId, Criterion};
 use docql_bench::{article_store, criterion_group, criterion_main};
 use std::hint::black_box;
@@ -35,11 +36,27 @@ fn bench_obs_overhead(c: &mut Criterion) {
     for (name, q) in queries {
         store.set_metrics_enabled(false);
         group.bench_function(BenchmarkId::new(name, "disabled"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+            b.iter(|| {
+                black_box(
+                    store
+                        .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .len(),
+                )
+            })
         });
         store.set_metrics_enabled(true);
         group.bench_function(BenchmarkId::new(name, "enabled"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+            b.iter(|| {
+                black_box(
+                    store
+                        .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .len(),
+                )
+            })
         });
         group.bench_function(BenchmarkId::new(name, "profiled"), |b| {
             b.iter(|| black_box(store.profile(black_box(q)).unwrap().result.rows.len()))

@@ -8,6 +8,7 @@
 //! the synthetic article corpus 1×/10×/100× and prints best-of-run
 //! `summary` lines like B6/B8.
 
+use docql::prelude::{Mode, QueryLimits};
 use docql_bench::article_store;
 use docql_bench::harness::{BenchmarkId, Criterion};
 use docql_bench::{criterion_group, criterion_main};
@@ -42,18 +43,42 @@ fn bench_path_index(c: &mut Criterion) {
             // Warm the plan cache once; both variants then share the plan
             // and differ only in the ExecCtx handed to evaluation.
             store.set_path_extents_enabled(true);
-            let expected = store.query_algebraic(q).unwrap().len();
+            let expected = store
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
+                .unwrap()
+                .len();
             group.bench_function(BenchmarkId::new(name, "extent"), |b| {
-                b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+                b.iter(|| {
+                    black_box(
+                        store
+                            .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                            .0
+                            .unwrap()
+                            .len(),
+                    )
+                })
             });
             store.set_path_extents_enabled(false);
             assert_eq!(
-                store.query_algebraic(q).unwrap().len(),
+                store
+                    .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                    .0
+                    .unwrap()
+                    .len(),
                 expected,
                 "walk and extent disagree on {q}"
             );
             group.bench_function(BenchmarkId::new(name, "walk"), |b| {
-                b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+                b.iter(|| {
+                    black_box(
+                        store
+                            .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                            .0
+                            .unwrap()
+                            .len(),
+                    )
+                })
             });
             store.set_path_extents_enabled(true);
         }

@@ -16,6 +16,7 @@
 //!
 //! Prints best-of-run `B14 summary` lines like B6/B9.
 
+use docql::prelude::{Mode, QueryLimits};
 use docql_bench::harness::{BenchmarkId, Criterion};
 use docql_bench::{adversarial_store, article_store, criterion_group, criterion_main};
 use docql_corpus::AdversarialParams;
@@ -79,18 +80,42 @@ fn bench_planner_cost(c: &mut Criterion) {
             // Warm each variant's plan once; the timed loop then measures
             // cached execution, which is where conjunct order matters.
             store.set_cost_planning_enabled(true);
-            let expected = store.query_algebraic(q).unwrap().to_table();
+            let expected = store
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
+                .unwrap()
+                .to_table();
             group.bench_function(BenchmarkId::new(name, "cost"), |b| {
-                b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+                b.iter(|| {
+                    black_box(
+                        store
+                            .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                            .0
+                            .unwrap()
+                            .len(),
+                    )
+                })
             });
             store.set_cost_planning_enabled(false);
             assert_eq!(
-                store.query_algebraic(q).unwrap().to_table(),
+                store
+                    .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                    .0
+                    .unwrap()
+                    .to_table(),
                 expected,
                 "planners disagree on {q}"
             );
             group.bench_function(BenchmarkId::new(name, "heuristic"), |b| {
-                b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+                b.iter(|| {
+                    black_box(
+                        store
+                            .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                            .0
+                            .unwrap()
+                            .len(),
+                    )
+                })
             });
             store.set_cost_planning_enabled(true);
         }

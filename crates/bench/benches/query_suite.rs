@@ -8,6 +8,7 @@
 //! is widest on the PATH_/ATT_ queries, whose §5.4 algebraization dwarfs
 //! evaluation.
 
+use docql::prelude::{Mode, QueryLimits};
 use docql_bench::harness::{BenchmarkId, Criterion};
 use docql_bench::{article_store, letter_store};
 use docql_bench::{criterion_group, criterion_main};
@@ -54,15 +55,25 @@ fn bench_suite(c: &mut Criterion) {
              where val contains (\"draft\")",
         ),
     ];
+    let mut uncached = store.engine();
+    uncached.mode = Mode::Algebraic;
     for (name, q) in article_queries {
         group.bench_function(BenchmarkId::new(name, "interp"), |b| {
             b.iter(|| black_box(store.query_uncached(black_box(q)).unwrap().len()))
         });
         group.bench_function(BenchmarkId::new(name, "uncached"), |b| {
-            b.iter(|| black_box(store.query_algebraic_uncached(black_box(q)).unwrap().len()))
+            b.iter(|| black_box(uncached.run(black_box(q)).unwrap().len()))
         });
         group.bench_function(BenchmarkId::new(name, "cached"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+            b.iter(|| {
+                black_box(
+                    store
+                        .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .len(),
+                )
+            })
         });
     }
     let q6 = "select letter from letter in Letters, \
@@ -72,18 +83,21 @@ fn bench_suite(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("Q6", "interp"), |b| {
         b.iter(|| black_box(letters.query_uncached(black_box(q6)).unwrap().len()))
     });
+    let mut uncached = letters.engine();
+    uncached.mode = Mode::Algebraic;
     group.bench_function(BenchmarkId::new("Q6", "uncached"), |b| {
+        b.iter(|| black_box(uncached.run(black_box(q6)).unwrap().len()))
+    });
+    group.bench_function(BenchmarkId::new("Q6", "cached"), |b| {
         b.iter(|| {
             black_box(
                 letters
-                    .query_algebraic_uncached(black_box(q6))
+                    .query_traced(black_box(q6), Mode::Algebraic, &QueryLimits::none())
+                    .0
                     .unwrap()
                     .len(),
             )
         })
-    });
-    group.bench_function(BenchmarkId::new("Q6", "cached"), |b| {
-        b.iter(|| black_box(letters.query_algebraic(black_box(q6)).unwrap().len()))
     });
     group.finish();
 

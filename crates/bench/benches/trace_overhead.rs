@@ -8,6 +8,7 @@
 //! enabled column is gated at ≤ 5 %; the sink column documents what the
 //! JSON-lines emission costs on top.
 
+use docql::prelude::{Mode, QueryLimits};
 use docql_bench::harness::{BenchmarkId, Criterion};
 use docql_bench::{article_store, criterion_group, criterion_main};
 use std::hint::black_box;
@@ -41,18 +42,42 @@ fn bench_trace_overhead(c: &mut Criterion) {
     for (name, q) in queries {
         store.set_tracing_enabled(false);
         group.bench_function(BenchmarkId::new(name, "disabled"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+            b.iter(|| {
+                black_box(
+                    store
+                        .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .len(),
+                )
+            })
         });
         store.set_tracing_enabled(true);
         group.bench_function(BenchmarkId::new(name, "enabled"), |b| {
-            b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+            b.iter(|| {
+                black_box(
+                    store
+                        .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .len(),
+                )
+            })
         });
         // JSON-lines emission on top (the discard sink isolates rendering
         // and writing from disk variance as far as the OS allows).
         if let Ok(sink) = docql::obs::TraceSink::file("/dev/null") {
             store.flight_recorder().set_sink(Some(Arc::new(sink)));
             group.bench_function(BenchmarkId::new(name, "sink"), |b| {
-                b.iter(|| black_box(store.query_algebraic(black_box(q)).unwrap().len()))
+                b.iter(|| {
+                    black_box(
+                        store
+                            .query_traced(black_box(q), Mode::Algebraic, &QueryLimits::none())
+                            .0
+                            .unwrap()
+                            .len(),
+                    )
+                })
             });
             store.flight_recorder().set_sink(None);
         }

@@ -55,7 +55,10 @@ fn env_u64(name: &str, default: u64) -> u64 {
 fn base_store() -> DocStore {
     let mut store = docql_bench::article_store(10, 5);
     store.bind("my_article", store.documents()[0]).unwrap();
-    store.query_algebraic(Q3).unwrap(); // warm the plan cache
+    store
+        .query_traced(Q3, docql::o2sql::Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap(); // warm the plan cache
     store
 }
 
@@ -189,7 +192,13 @@ fn main() {
             (period, batch),
             || {
                 let store = shared.read().unwrap();
-                std::hint::black_box(store.query_algebraic(Q3).unwrap().len());
+                std::hint::black_box(
+                    store
+                        .query_traced(Q3, docql::o2sql::Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .len(),
+                );
             },
             |texts: &[String]| {
                 let mut store = shared.write().unwrap();
@@ -210,7 +219,12 @@ fn main() {
             (period, batch),
             || {
                 let snap = shared.read();
-                std::hint::black_box(snap.query_algebraic(Q3).unwrap().len());
+                std::hint::black_box(
+                    snap.query_traced(Q3, docql::o2sql::Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .len(),
+                );
             },
             |texts: &[String]| {
                 let mut txn = shared.write();

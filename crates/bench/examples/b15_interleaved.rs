@@ -10,6 +10,7 @@
 //!
 //! Run: `cargo run --release -p docql-bench --example b15_interleaved`
 
+use docql::prelude::{Mode, QueryLimits};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -35,18 +36,33 @@ fn main() {
     let (mut sum_off, mut sum_on) = (0.0f64, 0.0f64);
     for (name, q) in queries {
         for _ in 0..3 {
-            store.query_algebraic(q).unwrap();
+            store
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
+                .unwrap();
         }
         let (mut best_off, mut best_on) = (Duration::MAX, Duration::MAX);
         let iters = if name == "Q5" { 200 } else { 2000 };
         for _ in 0..iters {
             store.set_tracing_enabled(false);
             let t = Instant::now();
-            std::hint::black_box(store.query_algebraic(q).unwrap().len());
+            std::hint::black_box(
+                store
+                    .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                    .0
+                    .unwrap()
+                    .len(),
+            );
             best_off = best_off.min(t.elapsed());
             store.set_tracing_enabled(true);
             let t = Instant::now();
-            std::hint::black_box(store.query_algebraic(q).unwrap().len());
+            std::hint::black_box(
+                store
+                    .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                    .0
+                    .unwrap()
+                    .len(),
+            );
             best_on = best_on.min(t.elapsed());
         }
         store.set_tracing_enabled(false);

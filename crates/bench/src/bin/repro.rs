@@ -445,7 +445,10 @@ fn algebra_equivalence() {
     ];
     for q in queries {
         let a = store.query(q).expect("interp");
-        let b = store.query_algebraic(q).expect("algebra");
+        let b = store
+            .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+            .0
+            .expect("algebra");
         let sa: std::collections::BTreeSet<_> = a.rows.into_iter().collect();
         let sb: std::collections::BTreeSet<_> = b.rows.into_iter().collect();
         assert_eq!(sa, sb, "disagreement on {q}");

@@ -66,171 +66,30 @@ pub mod prelude {
     pub use crate::Database;
 }
 
-use docql_model::Oid;
-use docql_o2sql::QueryResult;
-use docql_store::{DocStore, StoreError};
-
-/// The high-level entry point: a document database over one DTD.
+/// The high-level entry point: a document database over one DTD. It is
+/// the store itself — [`store::DocStore`] under its facade name — so the
+/// whole API (limits, algebraic mode, tracing, text search, export) is one
+/// method away. Wrap it in [`store::SharedStore::new`] to serve it to many
+/// threads.
 ///
-/// Thin, stable wrapper over [`store::DocStore`] — the full API (algebraic
-/// mode, text-index search, export, instance access) is reachable through
-/// [`Database::store`] / [`Database::store_mut`].
-pub struct Database {
-    inner: DocStore,
-}
-
-impl Database {
-    /// Create a database from DTD text. `named_roots` declares extra roots
-    /// of persistence of the document class (e.g. `"my_article"`).
-    pub fn new(dtd_text: &str, named_roots: &[&str]) -> Result<Database, StoreError> {
-        Ok(Database {
-            inner: DocStore::new(dtd_text, named_roots)?,
-        })
-    }
-
-    /// Parse, validate and load one SGML document; returns its root object.
-    pub fn ingest(&mut self, sgml_text: &str) -> Result<Oid, StoreError> {
-        self.inner.ingest(sgml_text)
-    }
-
-    /// Batch-ingest documents, parallelising parse/validation and index
-    /// construction across threads (see [`store::DocStore::ingest_batch`]).
-    pub fn ingest_batch(&mut self, docs: &[&str]) -> Result<Vec<Oid>, StoreError> {
-        self.inner.ingest_batch(docs)
-    }
-
-    /// Convert into a clonable multi-thread serving handle
-    /// (see [`store::SharedStore`]).
-    pub fn into_shared(self) -> docql_store::SharedStore {
-        docql_store::SharedStore::new(self.inner)
-    }
-
-    /// Bind a named root of persistence to a document object.
-    pub fn bind(&mut self, name: &str, oid: Oid) -> Result<(), StoreError> {
-        self.inner.bind(name, oid)
-    }
-
-    /// Run an extended-O₂SQL query.
-    pub fn query(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.inner.query(src)
-    }
-
-    /// Run a query through the §5.4 algebraizer instead of the interpreter.
-    pub fn query_algebraic(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.inner.query_algebraic(src)
-    }
-
-    /// Run a query under per-call resource limits — wall-clock deadline,
-    /// row budget, path fuel, cancellation (see
-    /// [`store::DocStore::query_with_limits`]).
-    ///
-    /// ```
-    /// use docql::prelude::*;
-    /// use std::time::Duration;
-    ///
-    /// let mut db = docql::Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
-    /// let root = db.ingest(docql::fixtures::FIG2_DOCUMENT).unwrap();
-    /// db.bind("my_article", root).unwrap();
-    /// let limits = QueryLimits::none()
-    ///     .with_deadline(Duration::from_secs(5))
-    ///     .with_row_budget(100_000);
-    /// let r = db
-    ///     .query_with_limits("select t from my_article PATH_p.title(t)", &limits)
-    ///     .unwrap();
-    /// assert!(!r.is_partial());
-    /// ```
-    pub fn query_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.inner.query_with_limits(src, limits)
-    }
-
-    /// Set the default limits applied to every query on this database
-    /// (per-call limits override field-wise).
-    pub fn set_default_limits(&mut self, limits: docql_guard::QueryLimits) {
-        self.inner.set_default_limits(limits);
-    }
-
-    /// The rendered `EXPLAIN ANALYZE` report for one query: lifecycle
-    /// phase timings plus the algebra plan annotated with per-operator
-    /// calls, row counts and wall time (see
-    /// [`store::DocStore::explain_analyze`]).
-    pub fn explain_analyze(&self, src: &str) -> Result<String, StoreError> {
-        self.inner.explain_analyze(src)
-    }
-
-    /// Profile one query, keeping the structured result (see
-    /// [`store::DocStore::profile`]).
-    pub fn profile(&self, src: &str) -> Result<docql_o2sql::QueryProfile, StoreError> {
-        self.inner.profile(src)
-    }
-
-    /// Turn metric recording on or off (off by default; see
-    /// [`store::DocStore::set_metrics_enabled`]).
-    pub fn set_metrics_enabled(&self, on: bool) {
-        self.inner.set_metrics_enabled(on);
-    }
-
-    /// Read every metric at this instant.
-    pub fn metrics_snapshot(&self) -> docql_obs::MetricsSnapshot {
-        self.inner.metrics_snapshot()
-    }
-
-    /// The metrics in the Prometheus text exposition format.
-    pub fn metrics_prometheus(&self) -> String {
-        self.inner.metrics_prometheus()
-    }
-
-    /// The metrics as a JSON object.
-    pub fn metrics_json(&self) -> String {
-        self.inner.metrics_json()
-    }
-
-    /// Turn query tracing on or off (off by default; see
-    /// [`store::DocStore::set_tracing_enabled`]). While on, every query
-    /// leaves a structured trace in the flight recorder.
-    pub fn set_tracing_enabled(&self, on: bool) {
-        self.inner.set_tracing_enabled(on);
-    }
-
-    /// Is query tracing on?
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.tracing_enabled()
-    }
-
-    /// The query flight recorder (trace rings, sink, cutoffs).
-    pub fn flight_recorder(&self) -> &std::sync::Arc<docql_obs::FlightRecorder> {
-        self.inner.flight_recorder()
-    }
-
-    /// The most recent completed query traces, oldest first.
-    pub fn recent_queries(&self) -> Vec<std::sync::Arc<docql_obs::QueryTrace>> {
-        self.inner.recent_queries()
-    }
-
-    /// Retained slow (and errored) query traces, oldest first.
-    pub fn slow_queries(&self) -> Vec<std::sync::Arc<docql_obs::QueryTrace>> {
-        self.inner.slow_queries()
-    }
-
-    /// Both trace rings as one JSON object
-    /// (`{"recent":[...],"slow":[...]}`).
-    pub fn traces_json(&self) -> String {
-        self.inner.traces_json()
-    }
-
-    /// The underlying store (full API).
-    pub fn store(&self) -> &DocStore {
-        &self.inner
-    }
-
-    /// The underlying store, mutably.
-    pub fn store_mut(&mut self) -> &mut DocStore {
-        &mut self.inner
-    }
-}
+/// [`Database::query`] runs the interpreter with no per-call limits;
+/// [`Database::query_traced`] takes the execution mode and limits:
+///
+/// ```
+/// use docql::prelude::*;
+/// use std::time::Duration;
+///
+/// let mut db = Database::new(docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
+/// let root = db.ingest(docql::fixtures::FIG2_DOCUMENT).unwrap();
+/// db.bind("my_article", root).unwrap();
+/// let limits = QueryLimits::none()
+///     .with_deadline(Duration::from_secs(5))
+///     .with_row_budget(100_000);
+/// let (r, _trace) =
+///     db.query_traced("select t from my_article PATH_p.title(t)", Mode::Algebraic, &limits);
+/// assert!(!r.unwrap().is_partial());
+/// ```
+pub use docql_store::DocStore as Database;
 
 #[cfg(test)]
 mod tests {
@@ -246,7 +105,12 @@ mod tests {
             .unwrap();
         assert!(!titles.is_empty());
         let alg = db
-            .query_algebraic("select t from my_article PATH_p.title(t)")
+            .query_traced(
+                "select t from my_article PATH_p.title(t)",
+                o2sql::Mode::Algebraic,
+                &guard::QueryLimits::none(),
+            )
+            .0
             .unwrap();
         use std::collections::BTreeSet;
         let a: BTreeSet<_> = titles.rows.into_iter().collect();

@@ -25,6 +25,7 @@
 //! bytes at record boundaries.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
 pub mod crc32;

@@ -170,25 +170,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Run a query under per-call limits: builds a fresh
-    /// [`docql_guard::Guard`] from `limits` and evaluates with it attached
-    /// (plain [`Engine::run`] when `limits` is all-`None`).
-    pub fn run_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, O2sqlError> {
-        if limits.is_none() {
-            return self.run(src);
-        }
-        let guard = docql_guard::Guard::new(limits);
-        let limited = Engine {
-            guard: Some(&guard),
-            ..*self
-        };
-        limited.run(src)
-    }
-
     /// Classify an evaluation outcome against the attached guard: the
     /// sticky trip is the authoritative signal (inner errors are stringly),
     /// so a tripped strict-mode guard yields

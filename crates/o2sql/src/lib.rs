@@ -7,6 +7,8 @@
 //! to the calculus (§5.2) and evaluate through either the interpreter or the
 //! §5.4 algebraizer.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ast;
 pub mod cache;
 pub mod engine;

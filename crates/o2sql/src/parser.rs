@@ -288,10 +288,9 @@ impl Parser {
         while self.keyword("or") {
             items.push(self.and_expr()?);
         }
-        Ok(if items.len() == 1 {
-            items.pop().expect("len checked")
-        } else {
-            Expr::Or(items)
+        Ok(match <[Expr; 1]>::try_from(items) {
+            Ok([only]) => only,
+            Err(items) => Expr::Or(items),
         })
     }
 
@@ -300,10 +299,9 @@ impl Parser {
         while self.keyword("and") {
             items.push(self.not_expr()?);
         }
-        Ok(if items.len() == 1 {
-            items.pop().expect("len checked")
-        } else {
-            Expr::And(items)
+        Ok(match <[Expr; 1]>::try_from(items) {
+            Ok([only]) => only,
+            Err(items) => Expr::And(items),
         })
     }
 
@@ -498,10 +496,9 @@ impl Parser {
         while self.keyword("or") {
             items.push(self.cbool_and()?);
         }
-        Ok(if items.len() == 1 {
-            items.pop().expect("len checked")
-        } else {
-            CBool::Or(items)
+        Ok(match <[CBool; 1]>::try_from(items) {
+            Ok([only]) => only,
+            Err(items) => CBool::Or(items),
         })
     }
 
@@ -510,10 +507,9 @@ impl Parser {
         while self.keyword("and") {
             items.push(self.cbool_atom()?);
         }
-        Ok(if items.len() == 1 {
-            items.pop().expect("len checked")
-        } else {
-            CBool::And(items)
+        Ok(match <[CBool; 1]>::try_from(items) {
+            Ok([only]) => only,
+            Err(items) => CBool::And(items),
         })
     }
 

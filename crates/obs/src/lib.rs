@@ -24,6 +24,8 @@
 //! each recorded sample is a few relaxed RMW operations (plus, for traces,
 //! one small allocation per query).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod metric;
 pub mod registry;
 pub mod serve;

@@ -35,6 +35,7 @@
 //! trailers after the chunked body.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;
 pub mod http;

@@ -13,6 +13,7 @@
 //! On `SIGINT`/`SIGTERM` (or `POST /admin/shutdown`) the server stops
 //! accepting, drains in-flight queries under `--drain-ms`, force-cancels
 //! stragglers, and checkpoints a persistent store before exiting.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use docql_serve::server::{ServeStore, Server, ServerConfig};
 use docql_serve::signal;

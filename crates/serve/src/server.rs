@@ -170,9 +170,9 @@ impl Server {
         let addr = listener.local_addr()?;
         store.shared().set_metrics_enabled(true);
         store.shared().set_tracing_enabled(true);
-        let registry = store.shared().read().metrics_registry().clone();
-        let metrics = ServeMetrics::register(registry);
-        let recorder = store.shared().flight_recorder();
+        let pinned = store.shared().read();
+        let metrics = ServeMetrics::register(pinned.metrics_registry().clone());
+        let recorder = Arc::clone(pinned.flight_recorder());
         let inner = Arc::new(Inner {
             metrics,
             recorder,
@@ -483,15 +483,15 @@ fn respond(
             }
         }
         ("GET", "/metrics") => {
-            let text = inner.store.shared().metrics_prometheus();
+            let text = inner.metrics.registry().to_prometheus();
             send(inner, stream, 200, &[], text.as_bytes(), close)
         }
         ("GET", "/metrics.json") => {
-            let text = inner.store.shared().metrics_json();
+            let text = inner.metrics.registry().to_json();
             send(inner, stream, 200, &[], text.as_bytes(), close)
         }
         ("GET", "/traces") => {
-            let text = inner.store.shared().traces_json();
+            let text = inner.recorder.to_json();
             send(inner, stream, 200, &[], text.as_bytes(), close)
         }
         ("POST", "/query") => {

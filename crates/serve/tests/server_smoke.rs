@@ -11,6 +11,7 @@ use common::{
     SLOW_QUERY,
 };
 use docql::durable::TempDir;
+use docql::prelude::{Mode, QueryLimits};
 use docql::store::DocStore;
 use docql_corpus::{generate_letter, LetterParams};
 
@@ -47,7 +48,10 @@ fn article_queries_over_http_are_byte_identical() {
 
     // The algebraic engine must agree over the wire too.
     for (i, q) in ARTICLE_QUERIES.iter().enumerate() {
-        let expected = reference.query_algebraic(q).unwrap();
+        let expected = reference
+            .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+            .0
+            .unwrap();
         let resp = client
             .post("/query", &[("X-Docql-Mode", "algebraic")], q.as_bytes())
             .unwrap();

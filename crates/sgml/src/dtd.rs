@@ -310,10 +310,9 @@ impl<'a> Parser<'a> {
         // Minimization indicators are optional in our input subset.
         let mut minimization = Minimization::default();
         let mut saw_min = false;
-        if matches!(self.cur.peek(), Some(b'-' | b'O' | b'o')) {
+        if let Some(c @ (b'-' | b'O' | b'o')) = self.cur.peek() {
             // Disambiguate `- O` from the start of a content model: a content
             // model always starts with `(` or a reserved word.
-            let c = self.cur.peek().unwrap();
             if c == b'-' || self.cur.peek_at(1).is_none_or(|b| b.is_ascii_whitespace()) {
                 minimization.start_omissible = c != b'-';
                 self.cur.bump();

@@ -10,6 +10,8 @@
 //!
 //! Stands in for the Euroclid SGML parser the paper's prototype extended.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod content;
 pub mod cursor;
 pub mod doc;

@@ -13,7 +13,7 @@
 use crate::content::{compile, Label, Rx};
 use crate::cursor::Cursor;
 use crate::doc::{Document, Element, Node};
-use crate::dtd::{AttDefault, AttType, Dtd, EntityDecl};
+use crate::dtd::{AttDefault, AttType, Dtd, ElementDecl, EntityDecl};
 use crate::error::{ErrorKind, Pos, Result, SgmlError};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -85,6 +85,27 @@ impl<'d> DocParser<'d> {
                 ErrorKind::Other("document contains no element".to_string()),
             )),
         }
+    }
+
+    /// Choose an element that (a) is expected next in `top`, (b) has an
+    /// omissible start tag, and (c) can itself accept `label` first;
+    /// returns it with its declaration.
+    fn implicit_open_candidate(
+        &self,
+        top: &Frame,
+        label: &Label,
+    ) -> Option<(String, &ElementDecl)> {
+        let mut expected = Vec::new();
+        top.state.next_labels(&mut expected);
+        for l in expected {
+            if let Label::Elem(x) = l {
+                let decl = self.dtd.element(&x)?;
+                if decl.minimization.start_omissible && !self.compiled[&x].derive(label).is_fail() {
+                    return Some((x, decl));
+                }
+            }
+        }
+        None
     }
 }
 
@@ -265,7 +286,12 @@ impl Run<'_, '_, '_> {
             }
         }
         self.accept_label(&Label::Text, pos)?;
-        let top = self.stack.last_mut().expect("accept_label ensures a frame");
+        let Some(top) = self.stack.last_mut() else {
+            return Err(SgmlError::new(
+                pos,
+                ErrorKind::Other("character data outside the document element".to_string()),
+            ));
+        };
         // Merge adjacent text runs.
         if let Some(Node::Text(prev)) = top.element.children.last_mut() {
             prev.push_str(text);
@@ -282,7 +308,7 @@ impl Run<'_, '_, '_> {
     fn accept_label(&mut self, label: &Label, pos: Pos) -> Result<()> {
         let budget = 2 * self.parser.dtd.elements.len() + self.stack.len() + 2;
         for _ in 0..budget {
-            match self.stack.last() {
+            match self.stack.last_mut() {
                 None => {
                     // Document element: only an element token can start it.
                     match label {
@@ -324,16 +350,15 @@ impl Run<'_, '_, '_> {
                 Some(top) => {
                     let d = top.state.derive(label);
                     if !d.is_fail() {
-                        self.stack.last_mut().expect("nonempty").state = d;
+                        top.state = d;
                         return Ok(());
                     }
                     // Implicit open: an expected element with omissible
                     // start tag that can accept the label.
-                    if let Some(x) = self.implicit_open_candidate(top, label) {
-                        let decl = self.parser.dtd.element(&x).expect("candidate is declared");
+                    if let Some((x, decl)) = self.parser.implicit_open_candidate(top, label) {
                         let advanced = top.state.derive(&Label::Elem(x.clone()));
                         debug_assert!(!advanced.is_fail());
-                        self.stack.last_mut().expect("nonempty").state = advanced;
+                        top.state = advanced;
                         let state = self.parser.compiled[&x].clone();
                         self.push_frame(Frame {
                             name: x.clone(),
@@ -379,24 +404,6 @@ impl Run<'_, '_, '_> {
         ))
     }
 
-    /// Choose an element that (a) is expected next in `top`, (b) has an
-    /// omissible start tag, and (c) can itself accept `label` first.
-    fn implicit_open_candidate(&self, top: &Frame, label: &Label) -> Option<String> {
-        let mut expected = Vec::new();
-        top.state.next_labels(&mut expected);
-        for l in expected {
-            if let Label::Elem(x) = l {
-                let decl = self.parser.dtd.element(&x)?;
-                if decl.minimization.start_omissible
-                    && !self.parser.compiled[&x].derive(label).is_fail()
-                {
-                    return Some(x);
-                }
-            }
-        }
-        None
-    }
-
     /// Push an open-element frame, enforcing the nesting-depth limit.
     fn push_frame(&mut self, frame: Frame) -> Result<()> {
         if self.stack.len() >= self.parser.max_depth {
@@ -413,7 +420,10 @@ impl Run<'_, '_, '_> {
     }
 
     fn close_top(&mut self) -> Result<()> {
-        let top = self.stack.pop().expect("close_top on empty stack");
+        // Callers close only an open frame; with none there is nothing to do.
+        let Some(top) = self.stack.pop() else {
+            return Ok(());
+        };
         if !top.state.nullable() {
             let mut expected = Vec::new();
             top.state.next_labels(&mut expected);

@@ -26,7 +26,7 @@ use docql_mapping::{
 };
 use docql_model::{Instance, Oid, Value};
 use docql_o2sql::{CacheStats, Engine, Mode, O2sqlError, PlanCache, QueryProfile, QueryResult};
-use docql_obs::{MetricsSnapshot, SharedRegistry};
+use docql_obs::SharedRegistry;
 use docql_sgml::{DocParser, Document, Dtd, SgmlError};
 use docql_text::{ContainsExpr, InvertedIndex};
 use std::collections::HashMap;
@@ -593,62 +593,19 @@ impl DocStore {
             .map_err(|e| StoreError::Other(e.to_string()))
     }
 
-    /// Run an O₂SQL query (interpreter mode). Compiled plans are cached:
-    /// repeated query texts skip lex/parse/translate and go straight to
-    /// evaluation (see [`DocStore::plan_cache_stats`]).
+    /// Run an O₂SQL query with the default arguments: interpreter mode
+    /// and no per-call limits (the store's defaults still apply) — i.e.
+    /// [`DocStore::query_traced`]`(src, Mode::Interpret, &QueryLimits::none()).0`.
+    /// Compiled plans are cached: repeated query texts skip
+    /// lex/parse/translate and go straight to evaluation (see
+    /// [`DocStore::plan_cache_stats`]).
     ///
     /// A query prefixed `explain analyze` (case-insensitive) is profiled
     /// instead: the result is one row holding the rendered report of
     /// [`DocStore::explain_analyze`] on the rest of the text.
     pub fn query(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.serve(src, Mode::Interpret)
-    }
-
-    /// Run an O₂SQL query through the §5.4 algebraizer. The plan cache
-    /// also retains the algebraized plan, so repeats skip algebraization.
-    /// The `explain analyze` prefix is honoured as in [`DocStore::query`].
-    pub fn query_algebraic(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.serve(src, Mode::Algebraic)
-    }
-
-    /// Run an O₂SQL query (interpreter mode) under per-call resource
-    /// limits, merged over the store's defaults (call fields win). A
-    /// tripped strict-mode limit returns [`StoreError::Interrupted`]; in
-    /// degrade mode the result comes back flagged partial instead
-    /// ([`QueryResult::is_partial`]).
-    pub fn query_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.serve_with(src, Mode::Interpret, Some(limits))
-    }
-
-    /// Algebraic-mode [`DocStore::query_with_limits`].
-    pub fn query_algebraic_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.serve_with(src, Mode::Algebraic, Some(limits))
-    }
-
-    /// [`DocStore::query_with_limits`] in the given execution `mode`,
-    /// additionally returning the flight-recorder trace filed for this
-    /// query (`None` when the recorder is disabled or the text was served
-    /// as `explain analyze`). The serving tier echoes the trace's id in
-    /// the `X-Docql-Trace-Id` response header so a client can correlate
-    /// its wire-level outcome with the recorded trace.
-    pub fn query_traced(
-        &self,
-        src: &str,
-        mode: Mode,
-        limits: &docql_guard::QueryLimits,
-    ) -> (
-        Result<QueryResult, StoreError>,
-        Option<Arc<docql_obs::QueryTrace>>,
-    ) {
-        self.serve_traced(src, mode, Some(limits))
+        self.query_traced(src, Mode::Interpret, &docql_guard::QueryLimits::none())
+            .0
     }
 
     /// Set the per-store default [`QueryLimits`](docql_guard::QueryLimits)
@@ -663,32 +620,25 @@ impl DocStore {
         &self.default_limits
     }
 
-    /// The shared serving path: `explain analyze` interception, cached
-    /// execution in `mode`, and the slow-query log.
-    fn serve(&self, src: &str, mode: Mode) -> Result<QueryResult, StoreError> {
-        self.serve_with(src, mode, None)
-    }
-
-    /// [`DocStore::serve`] with optional per-call limits: builds one
-    /// [`Guard`](docql_guard::Guard) per governed query, isolates panics at
-    /// the query boundary, and classifies governance outcomes into the
-    /// store's metric counters.
-    fn serve_with(
+    /// The general query entry point: run `src` in execution `mode` under
+    /// per-call `limits`, merged over the store's defaults (call fields
+    /// win field-wise), and return the flight-recorder trace filed for
+    /// this query alongside the result (`None` when the recorder is
+    /// disabled or the text was served as `explain analyze`).
+    ///
+    /// One [`Guard`](docql_guard::Guard) is built per governed query; a
+    /// tripped strict-mode limit returns [`StoreError::Interrupted`], while
+    /// in degrade mode the result comes back flagged partial
+    /// ([`QueryResult::is_partial`]). Panics are isolated at the query
+    /// boundary, governance outcomes are counted into the store's metrics,
+    /// and slow queries are logged. The serving tier echoes the trace's id
+    /// in the `X-Docql-Trace-Id` response header so a client can correlate
+    /// its wire-level outcome with the recorded trace.
+    pub fn query_traced(
         &self,
         src: &str,
         mode: Mode,
-        limits: Option<&docql_guard::QueryLimits>,
-    ) -> Result<QueryResult, StoreError> {
-        self.serve_traced(src, mode, limits).0
-    }
-
-    /// [`DocStore::serve_with`], returning the filed trace alongside the
-    /// result instead of discarding it.
-    fn serve_traced(
-        &self,
-        src: &str,
-        mode: Mode,
-        limits: Option<&docql_guard::QueryLimits>,
+        limits: &docql_guard::QueryLimits,
     ) -> (
         Result<QueryResult, StoreError>,
         Option<Arc<docql_obs::QueryTrace>>,
@@ -701,10 +651,7 @@ impl DocStore {
             });
             return (result, None);
         }
-        let merged = match limits {
-            Some(l) => l.clone().or(&self.default_limits),
-            None => self.default_limits.clone(),
-        };
+        let merged = limits.clone().or(&self.default_limits);
         let trace = self.recorder.enabled().then(|| self.recorder.begin(src));
         let run = || -> Result<QueryResult, StoreError> {
             let guard = (!merged.is_none()).then(|| docql_guard::Guard::new(&merged));
@@ -790,17 +737,14 @@ impl DocStore {
         (result, trace)
     }
 
-    /// Run an O₂SQL query bypassing the plan cache (the bench baseline;
-    /// results are identical to [`DocStore::query`]).
+    /// Parse, translate and evaluate `src` in interpreter mode with a
+    /// fresh engine, bypassing the plan cache — the bench baseline. The
+    /// rows equal [`DocStore::query`]'s for a plain query, but this path
+    /// applies no limits (not even the store's defaults), isolates no
+    /// panics, files no trace, feeds no slow-query log and does not honour
+    /// the `explain analyze` prefix.
     pub fn query_uncached(&self, src: &str) -> Result<QueryResult, StoreError> {
         Ok(self.engine().run(src)?)
-    }
-
-    /// Algebraic-mode query bypassing the plan cache.
-    pub fn query_algebraic_uncached(&self, src: &str) -> Result<QueryResult, StoreError> {
-        let mut e = self.engine();
-        e.mode = Mode::Algebraic;
-        Ok(e.run(src)?)
     }
 
     /// The query-plan cache (shared by every query path on this store).
@@ -832,29 +776,6 @@ impl DocStore {
         self.recorder.set_enabled(enabled);
     }
 
-    /// Is query tracing on?
-    pub fn tracing_enabled(&self) -> bool {
-        self.recorder.enabled()
-    }
-
-    /// The most recent completed query traces, oldest first.
-    pub fn recent_queries(&self) -> Vec<Arc<docql_obs::QueryTrace>> {
-        self.recorder.recent()
-    }
-
-    /// Retained slow (and errored/panicked) query traces, oldest first.
-    /// These outlive the recent ring: a burst of fast queries cannot evict
-    /// the slow outlier you are hunting.
-    pub fn slow_queries(&self) -> Vec<Arc<docql_obs::QueryTrace>> {
-        self.recorder.slow()
-    }
-
-    /// Both trace rings rendered as one JSON object
-    /// (`{"recent":[...],"slow":[...]}`).
-    pub fn traces_json(&self) -> String {
-        self.recorder.to_json()
-    }
-
     /// The store's metrics registry (for adopting extra metrics or sharing
     /// the namespace with an embedder).
     pub fn metrics_registry(&self) -> &SharedRegistry {
@@ -866,26 +787,6 @@ impl DocStore {
     /// while queries run. Accumulated values are kept when disabling.
     pub fn set_metrics_enabled(&self, on: bool) {
         self.metrics.registry().set_enabled(on);
-    }
-
-    /// Is metric recording on?
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.enabled()
-    }
-
-    /// Read every metric at this instant.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.registry().snapshot()
-    }
-
-    /// The metrics in the Prometheus text exposition format.
-    pub fn metrics_prometheus(&self) -> String {
-        self.metrics.registry().to_prometheus()
-    }
-
-    /// The metrics as a JSON object.
-    pub fn metrics_json(&self) -> String {
-        self.metrics.registry().to_json()
     }
 
     /// Profile one query (`EXPLAIN ANALYZE`): execute it for real,
@@ -1402,12 +1303,6 @@ impl SharedStore {
         store
     }
 
-    /// Pin the current snapshot ([`SharedStore::read`] under its MVCC
-    /// name).
-    pub fn snapshot(&self) -> Arc<DocStore> {
-        self.read()
-    }
-
     /// The version number of the currently published snapshot (0 = the
     /// store as wrapped; +1 per committed write transaction).
     pub fn snapshot_version(&self) -> u64 {
@@ -1449,35 +1344,12 @@ impl SharedStore {
         }
     }
 
-    /// Run an O₂SQL query against the current snapshot (plan-cached), subject to the
-    /// admission gate when one is set.
+    /// [`DocStore::query`] against the current snapshot, subject to the
+    /// admission gate when one is set: [`SharedStore::query_traced`] with
+    /// the default arguments.
     pub fn query(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.admitted(|| self.read().query(src))
-    }
-
-    /// Run an algebraic-mode query against the current snapshot (plan-cached),
-    /// subject to the admission gate when one is set.
-    pub fn query_algebraic(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.admitted(|| self.read().query_algebraic(src))
-    }
-
-    /// Run a query under per-call resource limits (see
-    /// [`DocStore::query_with_limits`]), subject to the admission gate.
-    pub fn query_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.admitted(|| self.read().query_with_limits(src, limits))
-    }
-
-    /// Algebraic-mode [`SharedStore::query_with_limits`].
-    pub fn query_algebraic_with_limits(
-        &self,
-        src: &str,
-        limits: &docql_guard::QueryLimits,
-    ) -> Result<QueryResult, StoreError> {
-        self.admitted(|| self.read().query_algebraic_with_limits(src, limits))
+        self.query_traced(src, Mode::Interpret, &docql_guard::QueryLimits::none())
+            .0
     }
 
     /// [`DocStore::query_traced`] against the current snapshot, subject
@@ -1498,73 +1370,16 @@ impl SharedStore {
         }
     }
 
-    /// Index-accelerated text search against the current snapshot.
-    pub fn find_documents(&self, expr: &ContainsExpr) -> Vec<Oid> {
-        self.read().find_documents(expr)
-    }
-
-    /// Profile one query against the current snapshot (see [`DocStore::profile`]).
-    pub fn profile(&self, src: &str) -> Result<QueryProfile, StoreError> {
-        self.read().profile(src)
-    }
-
-    /// The `EXPLAIN ANALYZE` report for one query, against the current snapshot.
-    pub fn explain_analyze(&self, src: &str) -> Result<String, StoreError> {
-        self.read().explain_analyze(src)
-    }
-
     /// Turn metric recording on or off (see
     /// [`DocStore::set_metrics_enabled`]).
     pub fn set_metrics_enabled(&self, on: bool) {
         self.read().set_metrics_enabled(on);
     }
 
-    /// Read every metric at this instant.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.read().metrics_snapshot()
-    }
-
-    /// The metrics in the Prometheus text exposition format.
-    pub fn metrics_prometheus(&self) -> String {
-        self.read().metrics_prometheus()
-    }
-
-    /// The metrics as a JSON object.
-    pub fn metrics_json(&self) -> String {
-        self.read().metrics_json()
-    }
-
     /// Turn query tracing on or off (the flight recorder is shared by
     /// every snapshot version, so this takes effect store-wide at once).
     pub fn set_tracing_enabled(&self, on: bool) {
         self.read().set_tracing_enabled(on);
-    }
-
-    /// Is query tracing on?
-    pub fn tracing_enabled(&self) -> bool {
-        self.read().tracing_enabled()
-    }
-
-    /// The query flight recorder shared by every snapshot version.
-    pub fn flight_recorder(&self) -> Arc<docql_obs::FlightRecorder> {
-        Arc::clone(self.read().flight_recorder())
-    }
-
-    /// The most recent completed query traces, oldest first. Because the
-    /// recorder is shared across MVCC versions, history spans snapshot
-    /// publications seamlessly.
-    pub fn recent_queries(&self) -> Vec<Arc<docql_obs::QueryTrace>> {
-        self.read().recent_queries()
-    }
-
-    /// Retained slow (and errored) query traces, oldest first.
-    pub fn slow_queries(&self) -> Vec<Arc<docql_obs::QueryTrace>> {
-        self.read().slow_queries()
-    }
-
-    /// Both trace rings as one JSON object (see [`DocStore::traces_json`]).
-    pub fn traces_json(&self) -> String {
-        self.read().traces_json()
     }
 
     /// Override the slow-query threshold in a write transaction (see
@@ -1866,7 +1681,10 @@ mod tests {
         assert!(stats.misses >= 1);
         assert_eq!(stats.entries, 1);
         // Algebraic mode shares the entry and memoises its plan.
-        let alg = store.query_algebraic(q).unwrap();
+        let alg = store
+            .query_traced(q, Mode::Algebraic, &docql_guard::QueryLimits::none())
+            .0
+            .unwrap();
         assert_eq!(alg.rows.len(), second.rows.len());
         assert_eq!(store.plan_cache_stats().entries, 1);
     }
@@ -1911,16 +1729,21 @@ mod tests {
             .query("select t from Articles PATH_p.title(t)")
             .unwrap();
         store
-            .query_algebraic("select t from Articles PATH_p.title(t)")
+            .query_traced(
+                "select t from Articles PATH_p.title(t)",
+                Mode::Algebraic,
+                &docql_guard::QueryLimits::none(),
+            )
+            .0
             .unwrap();
-        let snap = store.metrics_snapshot();
+        let snap = store.metrics_registry().snapshot();
         assert_eq!(snap.counter("docql_store_docs_ingested_total"), Some(1));
         assert_eq!(snap.counter("docql_queries_total"), Some(2));
         assert_eq!(snap.histogram("docql_store_ingest_ns").unwrap().count, 1);
         assert!(snap.counter("docql_plan_cache_misses_total").unwrap() >= 1);
-        let prom = store.metrics_prometheus();
+        let prom = store.metrics_registry().to_prometheus();
         assert!(prom.contains("docql_queries_total 2"));
-        let json = store.metrics_json();
+        let json = store.metrics_registry().to_json();
         assert!(json.contains("\"docql_queries_total\""));
     }
 
@@ -1931,7 +1754,7 @@ mod tests {
         store
             .query("select t from Articles PATH_p.title(t)")
             .unwrap();
-        let snap = store.metrics_snapshot();
+        let snap = store.metrics_registry().snapshot();
         assert_eq!(snap.counter("docql_store_docs_ingested_total"), Some(0));
         assert_eq!(snap.counter("docql_queries_total"), Some(0));
     }

@@ -34,8 +34,6 @@ use docql_durable::wal::{Wal, WalError, WalOp, WAL_FILE};
 use docql_durable::DurableMetrics;
 use docql_guard::IoFaultStream;
 use docql_model::{Oid, Value};
-use docql_o2sql::QueryResult;
-use docql_text::ContainsExpr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -234,21 +232,6 @@ impl PersistentStore {
     /// Pin the current snapshot (see [`SharedStore::read`]).
     pub fn read(&self) -> Arc<crate::DocStore> {
         self.shared.read()
-    }
-
-    /// Run an O₂SQL query against the current snapshot.
-    pub fn query(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.shared.query(src)
-    }
-
-    /// Run an algebraic-mode query against the current snapshot.
-    pub fn query_algebraic(&self, src: &str) -> Result<QueryResult, StoreError> {
-        self.shared.query_algebraic(src)
-    }
-
-    /// Index-accelerated text search against the current snapshot.
-    pub fn find_documents(&self, expr: &ContainsExpr) -> Vec<Oid> {
-        self.shared.find_documents(expr)
     }
 
     /// The persistence metric handles (registered in the store's

@@ -6,6 +6,8 @@
 //! distinct patterns and a malformed one.
 
 use docql_corpus::{generate_article, ArticleParams};
+use docql_guard::QueryLimits;
+use docql_o2sql::Mode;
 use docql_sgml::fixtures::ARTICLE_DTD;
 use docql_store::{DocStore, StoreError};
 use docql_text::Pattern;
@@ -14,7 +16,11 @@ type Run = fn(&DocStore, &str) -> Result<docql_o2sql::QueryResult, StoreError>;
 
 const MODES: [(&str, Run); 2] = [
     ("interpret", DocStore::query),
-    ("algebraic", DocStore::query_algebraic),
+    ("algebraic", |store, q| {
+        store
+            .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+            .0
+    }),
 ];
 
 fn store() -> DocStore {

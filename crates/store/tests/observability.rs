@@ -6,6 +6,8 @@
 //! versus walk-fallback accounting to the extent-index toggle.
 
 use docql_corpus::{generate_article, generate_letter, ArticleParams, LetterParams};
+use docql_guard::QueryLimits;
+use docql_o2sql::Mode;
 use docql_prop::{check, element, just, one_of, prop_assert_eq, usize_in, vec_of, zip3, Gen};
 use docql_sgml::fixtures::{ARTICLE_DTD, LETTER_DTD};
 use docql_store::DocStore;
@@ -69,7 +71,8 @@ const LETTER_QUERY: &str = "select letter from letter in Letters, \
 fn assert_inert(store: &DocStore, q: &str) {
     store.set_metrics_enabled(false);
     let plain = store
-        .query_algebraic(q)
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
         .map(|r| r.to_table())
         .map_err(|e| e.to_string());
     let plain_interp = store
@@ -78,7 +81,8 @@ fn assert_inert(store: &DocStore, q: &str) {
         .map_err(|e| e.to_string());
     store.set_metrics_enabled(true);
     let metered = store
-        .query_algebraic(q)
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
         .map(|r| r.to_table())
         .map_err(|e| e.to_string());
     let metered_interp = store
@@ -121,7 +125,12 @@ fn q1_to_q5_unchanged_by_instrumentation() {
         assert_inert(&store, q);
     }
     let r = store
-        .query_algebraic("select t from my_article PATH_p.title(t)")
+        .query_traced(
+            "select t from my_article PATH_p.title(t)",
+            Mode::Algebraic,
+            &QueryLimits::none(),
+        )
+        .0
         .unwrap();
     assert!(!r.is_empty(), "agreement must not be vacuous");
 }
@@ -167,7 +176,8 @@ fn randomized_queries_unchanged_by_instrumentation() {
         |q| {
             store.set_metrics_enabled(false);
             let plain = store
-                .query_algebraic(q)
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
                 .map(|r| r.to_table())
                 .map_err(|e| e.to_string());
             let plain_interp = store
@@ -176,7 +186,8 @@ fn randomized_queries_unchanged_by_instrumentation() {
                 .map_err(|e| e.to_string());
             store.set_metrics_enabled(true);
             let metered = store
-                .query_algebraic(q)
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
                 .map(|r| r.to_table())
                 .map_err(|e| e.to_string());
             let profiled = store.profile(q);
@@ -287,7 +298,7 @@ fn plan_cache_reset_clears_counters_and_registry_export() {
     store.plan_cache().reset();
     let stats = store.plan_cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-    let snap = store.metrics_snapshot();
+    let snap = store.metrics_registry().snapshot();
     assert_eq!(snap.counter("docql_plan_cache_hits_total"), Some(0));
     assert_eq!(snap.counter("docql_plan_cache_misses_total"), Some(0));
     assert_eq!(snap.gauge("docql_plan_cache_entries"), Some(0));
@@ -299,18 +310,25 @@ fn shared_store_serves_profiles_and_slow_log_counter() {
     shared.set_metrics_enabled(true);
     shared.set_slow_query_threshold(Some(std::time::Duration::ZERO));
     let q = "select t from Articles PATH_p.title(t)";
-    let direct = shared.query_algebraic(q).unwrap();
-    let report = shared.explain_analyze(q).unwrap();
+    let direct = shared
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
+    let report = shared.read().explain_analyze(q).unwrap();
     assert!(report.starts_with("EXPLAIN ANALYZE"), "{report}");
-    let profile = shared.profile(q).unwrap();
+    let profile = shared.read().profile(q).unwrap();
     assert_eq!(profile.result.to_table(), direct.to_table());
     assert!(
         shared.read().metrics().slow_queries.get() >= 1,
         "zero threshold counts every query as slow"
     );
-    assert!(shared.metrics_prometheus().contains("docql_queries_total"));
-    assert!(shared.metrics_json().starts_with('{'));
-    let snap = shared.metrics_snapshot();
+    assert!(shared
+        .read()
+        .metrics_registry()
+        .to_prometheus()
+        .contains("docql_queries_total"));
+    assert!(shared.read().metrics_registry().to_json().starts_with('{'));
+    let snap = shared.read().metrics_registry().snapshot();
     assert!(snap.counter("docql_queries_total").unwrap() >= 1);
 }
 
@@ -322,7 +340,7 @@ fn text_search_counters_split_index_from_scan() {
     let a = store.find_documents(&expr);
     let b = store.find_documents_scan(&expr);
     assert_eq!(a, b);
-    let snap = store.metrics_snapshot();
+    let snap = store.metrics_registry().snapshot();
     assert_eq!(
         snap.counter("docql_store_text_index_searches_total"),
         Some(1)

@@ -6,7 +6,9 @@ use docql_calculus::CalcValue;
 use docql_corpus::{
     generate_article, generate_letter, mutate, ArticleParams, LetterParams, Mutation,
 };
+use docql_guard::QueryLimits;
 use docql_model::{sym, Value};
+use docql_o2sql::Mode;
 use docql_sgml::fixtures::{ARTICLE_DTD, LETTER_DTD};
 use docql_store::DocStore;
 use std::collections::BTreeSet;
@@ -268,7 +270,10 @@ fn q1_algebraic_mode_agrees_with_interpreter() {
              from a in Articles, s in a.sections \
              where s.title contains (\"SGML\" and \"OODBMS\")";
     let interp = store.query(q).unwrap();
-    let algebraic = store.query_algebraic(q).unwrap();
+    let algebraic = store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
     let a: BTreeSet<_> = interp.rows.into_iter().collect();
     let b: BTreeSet<_> = algebraic.rows.into_iter().collect();
     assert_eq!(a, b);
@@ -280,7 +285,10 @@ fn q3_algebraic_mode_agrees_with_interpreter() {
     store.bind("my_article", store.documents()[0]).unwrap();
     let q = "select t from my_article PATH_p.title(t)";
     let interp = store.query(q).unwrap();
-    let algebraic = store.query_algebraic(q).unwrap();
+    let algebraic = store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
     let a: BTreeSet<_> = interp.rows.into_iter().collect();
     let b: BTreeSet<_> = algebraic.rows.into_iter().collect();
     assert_eq!(a, b);

@@ -11,6 +11,8 @@
 use docql_corpus::{
     generate_article, generate_letter, mutate, ArticleParams, LetterParams, Mutation,
 };
+use docql_guard::QueryLimits;
+use docql_o2sql::Mode;
 use docql_prop::{check, element, just, one_of, prop_assert_eq, usize_in, vec_of, zip3, Gen};
 use docql_sgml::fixtures::{ARTICLE_DTD, LETTER_DTD};
 use docql_store::DocStore;
@@ -36,12 +38,14 @@ fn article_store(n_docs: usize) -> DocStore {
 fn both_modes(store: &mut DocStore, q: &str) -> (Result<String, String>, Result<String, String>) {
     store.set_path_extents_enabled(true);
     let indexed = store
-        .query_algebraic(q)
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
         .map(|r| r.to_table())
         .map_err(|e| e.to_string());
     store.set_path_extents_enabled(false);
     let walked = store
-        .query_algebraic(q)
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
         .map(|r| r.to_table())
         .map_err(|e| e.to_string());
     store.set_path_extents_enabled(true);
@@ -99,7 +103,12 @@ fn q1_to_q5_identical_with_and_without_extent_index() {
     // At least the pure path queries must actually produce rows, so the
     // agreement above is not vacuous.
     let r = store
-        .query_algebraic("select t from my_article PATH_p.title(t)")
+        .query_traced(
+            "select t from my_article PATH_p.title(t)",
+            Mode::Algebraic,
+            &QueryLimits::none(),
+        )
+        .0
         .unwrap();
     assert!(!r.is_empty());
 }
@@ -202,12 +211,20 @@ fn agreement_survives_incremental_batch_ingest() {
         })
         .collect();
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-    let before = store.query_algebraic(q).unwrap().len();
+    let before = store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap()
+        .len();
     store.ingest_batch(&refs).unwrap();
     for query in ARTICLE_QUERIES {
         assert_agree(&mut store, query);
     }
-    let after = store.query_algebraic(q).unwrap().len();
+    let after = store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap()
+        .len();
     assert!(after > before, "batch docs must show up in indexed results");
 }
 
@@ -228,7 +245,13 @@ fn eight_readers_agree_with_walk_reference() {
     store.set_path_extents_enabled(false);
     let reference: Vec<String> = queries
         .iter()
-        .map(|q| store.query_algebraic(q).unwrap().to_table())
+        .map(|q| {
+            store
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
+                .unwrap()
+                .to_table()
+        })
         .collect();
     store.set_path_extents_enabled(true);
 
@@ -240,7 +263,11 @@ fn eight_readers_agree_with_walk_reference() {
             s.spawn(move || {
                 for round in 0..ROUNDS {
                     for (i, q) in queries.iter().enumerate() {
-                        let got = store.query_algebraic(q).unwrap().to_table();
+                        let got = store
+                            .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                            .0
+                            .unwrap()
+                            .to_table();
                         assert_eq!(
                             got, reference[i],
                             "reader {reader} round {round} diverged on {q}"

@@ -16,6 +16,7 @@
 //! statistics drift (the ISSUE's acceptance gate).
 
 use docql_corpus::{generate_article, generate_letter, ArticleParams, LetterParams};
+use docql_guard::QueryLimits;
 use docql_o2sql::Mode;
 use docql_prop::{check, element, just, one_of, prop_assert_eq, usize_in, vec_of, zip3, Gen};
 use docql_sgml::fixtures::{ARTICLE_DTD, LETTER_DTD};
@@ -45,12 +46,14 @@ fn both_planners(
 ) -> (Result<String, String>, Result<String, String>) {
     store.set_cost_planning_enabled(true);
     let costed = store
-        .query_algebraic(q)
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
         .map(|r| r.to_table())
         .map_err(|e| e.to_string());
     store.set_cost_planning_enabled(false);
     let heuristic = store
-        .query_algebraic(q)
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
         .map(|r| r.to_table())
         .map_err(|e| e.to_string());
     store.set_cost_planning_enabled(true);
@@ -140,7 +143,12 @@ fn q1_to_q5_results_and_plans_identical_across_planners() {
     }
     // Non-vacuity: the pure path query actually produces rows.
     let r = store
-        .query_algebraic("select t from my_article PATH_p.title(t)")
+        .query_traced(
+            "select t from my_article PATH_p.title(t)",
+            Mode::Algebraic,
+            &QueryLimits::none(),
+        )
+        .0
         .unwrap();
     assert!(!r.is_empty());
 }
@@ -269,7 +277,11 @@ fn eight_readers_agree_with_heuristic_reference() {
             s.spawn(move || {
                 for round in 0..ROUNDS {
                     for (i, q) in queries.iter().enumerate() {
-                        let got = store.query_algebraic(q).unwrap().to_table();
+                        let got = store
+                            .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                            .0
+                            .unwrap()
+                            .to_table();
                         assert_eq!(
                             got, reference[i],
                             "reader {reader} round {round} diverged on {q}"
@@ -310,7 +322,11 @@ fn mvcc_writer_churn_does_not_tear_results() {
                     // heuristic reference both read exactly this version,
                     // however far the writer has moved on.
                     let snap = shared.read();
-                    let costed = snap.query_algebraic(q).unwrap().to_table();
+                    let costed = snap
+                        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                        .0
+                        .unwrap()
+                        .to_table();
                     let heuristic = heuristic_table(&snap, q);
                     assert_eq!(
                         costed,
@@ -336,7 +352,10 @@ fn replan_fires_on_stats_drift() {
     // Plan and run at 1-document statistics: the cached plan is stamped
     // with this stats version and estimates a handful of rows (one title
     // per article / section / subsection of the single document).
-    let small = store.query_algebraic(q).unwrap();
+    let small = store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
     assert_eq!(small.len(), 7);
     assert_eq!(store.metrics().engine.replans.get(), 0);
 
@@ -358,7 +377,10 @@ fn replan_fires_on_stats_drift() {
 
     // The stale cached plan executes once more, observes ~201 rows against
     // an estimate of ~1, and is invalidated for re-planning.
-    let big = store.query_algebraic(q).unwrap();
+    let big = store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
     assert!(big.len() > 100);
     assert_eq!(
         store.metrics().engine.replans.get(),
@@ -368,7 +390,10 @@ fn replan_fires_on_stats_drift() {
 
     // The next run re-plans against current statistics; its estimates are
     // now in line with what it observes, so no further re-plan fires.
-    let again = store.query_algebraic(q).unwrap();
+    let again = store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
     assert_eq!(again.to_table(), big.to_table());
     assert_eq!(store.metrics().engine.replans.get(), 1);
     assert!(
@@ -382,7 +407,12 @@ fn toggling_cost_planning_is_visible_and_clears_the_cache() {
     let mut store = article_store(1);
     assert!(store.cost_planning_enabled());
     store
-        .query_algebraic("select t from Articles PATH_p.title(t)")
+        .query_traced(
+            "select t from Articles PATH_p.title(t)",
+            Mode::Algebraic,
+            &QueryLimits::none(),
+        )
+        .0
         .unwrap();
     assert!(!store.plan_cache().is_empty());
     store.set_cost_planning_enabled(false);

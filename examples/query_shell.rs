@@ -26,13 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plant_every: 2,
             ..ArticleParams::default()
         });
-        db.store_mut().ingest_document(&doc)?;
+        db.ingest_document(&doc)?;
     }
-    let first = db.store().documents()[0];
+    let first = db.documents()[0];
     db.bind("my_article", first)?;
     println!(
         "docql shell — {} articles loaded; roots: Articles, my_article.",
-        db.store().documents().len()
+        db.documents().len()
     );
     println!("Type a query, `.help` for commands, `.quit` to exit.");
 
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             ".schema" => {
-                println!("{}", db.store().mapping().schema);
+                println!("{}", db.mapping().schema);
                 continue;
             }
             ".mode interpret" => {
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             _ => {}
         }
         if let Some(q) = line.strip_prefix(".explain ") {
-            match db.store().engine().explain(q) {
+            match db.engine().explain(q) {
                 Ok(text) => println!("{text}"),
                 Err(e) => println!("  {e}"),
             }
@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         if let Some(q) = line.strip_prefix(".check ") {
-            match db.store().engine().check(q) {
+            match db.engine().check(q) {
                 Ok(info) => {
                     for (v, ty) in &info.var_types {
                         println!("  v{v} : {ty}");
@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             continue;
         }
-        let mut engine = db.store().engine();
+        let mut engine = db.engine();
         engine.mode = mode;
         engine.semantics = semantics;
         match engine.run(line) {

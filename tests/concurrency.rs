@@ -108,7 +108,15 @@ fn concurrent_algebraic_readers_agree_with_interpreter() {
             let reference = &reference;
             s.spawn(move || {
                 for _ in 0..ROUNDS {
-                    assert_eq!(rendered(&store.query_algebraic(q).unwrap()), *reference);
+                    assert_eq!(
+                        rendered(
+                            &store
+                                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                                .0
+                                .unwrap()
+                        ),
+                        *reference
+                    );
                 }
             });
         }
@@ -193,7 +201,10 @@ fn doomed_deadline_reader_never_perturbs_others_or_starves_writer() {
             s.spawn(move || {
                 let limits = QueryLimits::none().with_deadline(Duration::ZERO);
                 for round in 0..ROUNDS {
-                    match shared.query_with_limits(DOOMED_QUERY, &limits) {
+                    match shared
+                        .query_traced(DOOMED_QUERY, Mode::Interpret, &limits)
+                        .0
+                    {
                         Err(StoreError::Interrupted(ExecError::DeadlineExceeded)) => {}
                         other => panic!(
                             "doomed reader round {round}: expected DeadlineExceeded, got {:?}",
@@ -246,7 +257,11 @@ fn admission_gate_rejects_excess_queries_with_typed_error() {
     let holder = {
         let shared = shared.clone();
         let limits = QueryLimits::none().with_cancel(token.clone());
-        thread::spawn(move || shared.query_with_limits(DOOMED_QUERY, &limits))
+        thread::spawn(move || {
+            shared
+                .query_traced(DOOMED_QUERY, Mode::Interpret, &limits)
+                .0
+        })
     };
     let t0 = Instant::now();
     while shared.admission_active() == 0 {

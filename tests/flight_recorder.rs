@@ -18,6 +18,7 @@ use docql::prelude::*;
 use docql_prop::{check, element, just, one_of, prop_assert_eq, usize_in, vec_of, zip3, Gen};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -42,7 +43,8 @@ fn tracing_is_inert_on_paper_queries() {
                 .map(|r| rendered(&r))
                 .map_err(|e| e.to_string());
             let plain_alg = store
-                .query_algebraic(q)
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
                 .map(|r| rendered(&r))
                 .map_err(|e| e.to_string());
             store.set_tracing_enabled(true);
@@ -51,7 +53,8 @@ fn tracing_is_inert_on_paper_queries() {
                 .map(|r| rendered(&r))
                 .map_err(|e| e.to_string());
             let traced_alg = store
-                .query_algebraic(q)
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
                 .map(|r| rendered(&r))
                 .map_err(|e| e.to_string());
             store.set_tracing_enabled(false);
@@ -111,12 +114,14 @@ fn tracing_is_inert_on_randomized_queries() {
         |q| {
             store.set_tracing_enabled(false);
             let plain = store
-                .query_algebraic(q)
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
                 .map(|r| rendered(&r))
                 .map_err(|e| e.to_string());
             store.set_tracing_enabled(true);
             let traced = store
-                .query_algebraic(q)
+                .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                .0
                 .map(|r| rendered(&r))
                 .map_err(|e| e.to_string());
             store.set_tracing_enabled(false);
@@ -130,15 +135,26 @@ fn tracing_is_inert_on_randomized_queries() {
 fn slow_query_trace_carries_full_diagnostics() {
     let store = article_store(6);
     let q = ARTICLE_QUERIES[2]; // "select t from my_article PATH_p.title(t)"
-    let expected_rows = store.query_algebraic(q).unwrap().rows.len() as u64;
+    let expected_rows = store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap()
+        .rows
+        .len() as u64;
     store.plan_cache().clear();
     store.set_tracing_enabled(true);
     let recorder = store.flight_recorder();
     recorder.set_slow_cutoff(Duration::ZERO); // everything is slow
-    store.query_algebraic(q).unwrap();
-    store.query_algebraic(q).unwrap();
+    store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
+    store
+        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
 
-    let recent = store.recent_queries();
+    let recent = store.flight_recorder().recent();
     assert_eq!(recent.len(), 2);
     let (first, second) = (&recent[0], &recent[1]);
 
@@ -191,14 +207,14 @@ fn slow_query_trace_carries_full_diagnostics() {
     }
 
     // Slow reservoir retained both; JSON renders one object per line.
-    assert_eq!(store.slow_queries().len(), 2);
-    for t in store.slow_queries() {
+    assert_eq!(store.flight_recorder().slow().len(), 2);
+    for t in store.flight_recorder().slow() {
         let json = t.to_json();
         assert!(json.starts_with("{\"trace_id\":\""), "{json}");
         assert!(json.ends_with('}'), "{json}");
         assert!(!json.contains('\n'), "one line per trace");
     }
-    let all = store.traces_json();
+    let all = store.flight_recorder().to_json();
     assert!(all.starts_with("{\"recent\":["), "{all}");
 }
 
@@ -212,11 +228,13 @@ fn governed_and_failing_queries_land_in_the_error_reservoir() {
     let _ = store.query("select nonsense from").unwrap_err();
     // A strict zero-fuel budget: interrupted, outcome "error".
     let limits = QueryLimits::none().with_path_fuel(1);
-    let _ = store.query_with_limits(ARTICLE_QUERIES[1], &limits);
+    let _ = store
+        .query_traced(ARTICLE_QUERIES[1], Mode::Interpret, &limits)
+        .0;
     // A plain fast success: not retained in the reservoir.
     store.query(ARTICLE_QUERIES[2]).unwrap();
 
-    let slow = store.slow_queries();
+    let slow = store.flight_recorder().slow();
     assert!(
         slow.iter()
             .any(|t| t.outcome == "error" && t.detail.is_some()),
@@ -227,7 +245,7 @@ fn governed_and_failing_queries_land_in_the_error_reservoir() {
         "fast successes never reach the reservoir"
     );
     assert_eq!(
-        store.recent_queries().len(),
+        store.flight_recorder().recent().len(),
         3,
         "recent ring holds all three"
     );
@@ -239,7 +257,7 @@ fn wal_checkpoint_and_publish_events_land_inside_an_overlapping_trace() {
     let (store, _) =
         PersistentStore::open(dir.path(), docql::fixtures::ARTICLE_DTD, &["my_article"]).unwrap();
     store.shared().set_tracing_enabled(true);
-    let recorder = store.shared().flight_recorder();
+    let recorder = Arc::clone(store.shared().read().flight_recorder());
     recorder.set_slow_cutoff(Duration::ZERO);
     store.ingest(&article_sgml(0)).unwrap();
 
@@ -285,8 +303,8 @@ fn wal_checkpoint_and_publish_events_land_inside_an_overlapping_trace() {
             done.store(true, Ordering::Release);
         });
         while !writer_done.load(Ordering::Acquire) {
-            let _ = store.query(q);
-            let recent = store.shared().recent_queries();
+            let _ = store.shared().query(q);
+            let recent = store.shared().read().flight_recorder().recent();
             let t = recent.last().expect("query traced");
             if t.has_event("wal_append") || t.has_event("checkpoint") {
                 assert!(
@@ -312,10 +330,17 @@ fn eight_readers_one_writer_never_tear_results_or_traces() {
     // Reference answers from the pre-publication snapshot, untraced.
     let reference: Vec<String> = ARTICLE_QUERIES
         .iter()
-        .map(|q| rendered(&shared.query_algebraic(q).unwrap()))
+        .map(|q| {
+            rendered(
+                &shared
+                    .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                    .0
+                    .unwrap(),
+            )
+        })
         .collect();
     shared.set_tracing_enabled(true);
-    shared.flight_recorder().set_slow_cutoff(NEVER_SLOW);
+    shared.read().flight_recorder().set_slow_cutoff(NEVER_SLOW);
     let pinned = shared.read(); // version 0, held across all publications
     let served = AtomicUsize::new(0);
     let writer_done = AtomicBool::new(false);
@@ -344,7 +369,12 @@ fn eight_readers_one_writer_never_tear_results_or_traces() {
                             // traced results must stay byte-identical to
                             // the untraced reference throughout.
                             assert_eq!(
-                                rendered(&pinned.query_algebraic(q).unwrap()),
+                                rendered(
+                                    &pinned
+                                        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                                        .0
+                                        .unwrap()
+                                ),
                                 reference[i],
                                 "reader {reader}: traced pinned result diverged on {q}"
                             );
@@ -353,8 +383,18 @@ fn eight_readers_one_writer_never_tear_results_or_traces() {
                             // back-to-back runs on one pin must agree.
                             let snap = shared.read();
                             assert_eq!(
-                                rendered(&snap.query_algebraic(q).unwrap()),
-                                rendered(&snap.query_algebraic(q).unwrap()),
+                                rendered(
+                                    &snap
+                                        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                                        .0
+                                        .unwrap()
+                                ),
+                                rendered(
+                                    &snap
+                                        .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                                        .0
+                                        .unwrap()
+                                ),
                                 "reader {reader}: same-pin runs diverged on {q}"
                             );
                             served.fetch_add(1, Ordering::Relaxed);
@@ -367,7 +407,7 @@ fn eight_readers_one_writer_never_tear_results_or_traces() {
         }
     });
 
-    let recorder = shared.flight_recorder();
+    let recorder = Arc::clone(shared.read().flight_recorder());
     // Accounting: every traced query left exactly one trace (the reference
     // pass ran before tracing was enabled), and the ring never overfills.
     assert_eq!(
@@ -416,24 +456,30 @@ fn recent_ring_evicts_oldest_while_slow_reservoir_retains() {
     // One marked-slow query first…
     recorder.set_slow_cutoff(Duration::ZERO);
     let marker = ARTICLE_QUERIES[3]; // the PATH_p difference query
-    store.query_algebraic(marker).unwrap();
-    assert_eq!(store.slow_queries().len(), 1);
+    store
+        .query_traced(marker, Mode::Algebraic, &QueryLimits::none())
+        .0
+        .unwrap();
+    assert_eq!(store.flight_recorder().slow().len(), 1);
 
     // …then a burst of fast queries large enough to lap the recent ring.
     recorder.set_slow_cutoff(NEVER_SLOW);
     let fast = ARTICLE_QUERIES[2];
     for _ in 0..capacity + 1 {
-        store.query_algebraic(fast).unwrap();
+        store
+            .query_traced(fast, Mode::Algebraic, &QueryLimits::none())
+            .0
+            .unwrap();
     }
 
     assert_eq!(recorder.recorded(), capacity as u64 + 2);
     assert_eq!(recorder.len(), capacity, "ring holds exactly its capacity");
-    let recent = store.recent_queries();
+    let recent = store.flight_recorder().recent();
     assert!(
         recent.iter().all(|t| t.query == fast),
         "the slow marker was evicted from the recent ring"
     );
-    let slow = store.slow_queries();
+    let slow = store.flight_recorder().slow();
     assert_eq!(slow.len(), 1, "fast queries never displace the reservoir");
     assert_eq!(
         slow[0].query, marker,

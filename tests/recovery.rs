@@ -147,7 +147,7 @@ fn kill_at_every_wal_record_boundary_recovers_the_exact_prefix() {
 
         let oracle = reference_store(k);
         assert_eq!(
-            answers(|q| ps.query(q)),
+            answers(|q| ps.shared().query(q)),
             answers(|q| oracle.query(q)),
             "prefix {k}: recovered answers diverge from fresh ingest"
         );
@@ -183,7 +183,7 @@ fn torn_and_truncated_tails_are_cut_back_to_the_last_boundary() {
             assert_eq!(report.replayed_records, k, "cut {cut_in} into record {k}");
             assert_eq!(report.truncated_bytes, cut_in as u64);
             assert_eq!(
-                answers(|q| ps.query(q)),
+                answers(|q| ps.shared().query(q)),
                 answers(|q| reference_store(k).query(q))
             );
             assert_eq!(ps.read().documents().len(), ingests_in(k));
@@ -199,7 +199,7 @@ fn torn_and_truncated_tails_are_cut_back_to_the_last_boundary() {
     assert_eq!(report.replayed_records, SCRIPT.len());
     assert_eq!(report.truncated_bytes, 13);
     assert_eq!(
-        answers(|q| ps.query(q)),
+        answers(|q| ps.shared().query(q)),
         answers(|q| reference_store(SCRIPT.len()).query(q))
     );
 }
@@ -237,7 +237,7 @@ fn single_bit_flip_sweep_recovers_the_longest_valid_prefix() {
         );
         assert_eq!(report.truncated_bytes, (wal.len() - bounds[k]) as u64);
         assert_eq!(
-            answers(|q| ps.query(q)),
+            answers(|q| ps.shared().query(q)),
             answers(|q| reference_store(k).query(q)),
             "case {case}: recovered prefix diverges"
         );
@@ -270,7 +270,10 @@ fn checkpoint_plus_tail_replay_recovers_the_full_state() {
     let mut oracle = reference_store(SCRIPT.len());
     oracle.ingest(&article_sgml(6)).unwrap();
     oracle.ingest(&article_sgml(7)).unwrap();
-    assert_eq!(answers(|q| ps.query(q)), answers(|q| oracle.query(q)));
+    assert_eq!(
+        answers(|q| ps.shared().query(q)),
+        answers(|q| oracle.query(q))
+    );
     let snap = ps.read();
     assert_eq!(snap.documents().len(), 8);
     assert!(snap.check().is_empty());
@@ -309,7 +312,7 @@ fn corrupt_newest_segment_falls_back_to_the_previous_one() {
     );
     assert_eq!(report.segment_seqno, Some(first_ckpt as u64));
     assert_eq!(
-        answers(|q| ps.query(q)),
+        answers(|q| ps.shared().query(q)),
         answers(|q| reference_store(first_ckpt).query(q)),
         "fallback state is the previous checkpoint"
     );
@@ -368,7 +371,7 @@ fn segment_gc_retains_fallback_and_survives_newest_corruption() {
     assert_eq!(report.segments_skipped, 1);
     assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64 - 1));
     assert_eq!(
-        answers(|q| ps.query(q)),
+        answers(|q| ps.shared().query(q)),
         answers(|q| reference_store(SCRIPT.len() - 1).query(q)),
         "fallback state is the previous retained checkpoint"
     );
@@ -415,7 +418,7 @@ fn crash_between_segment_write_and_wal_truncation_double_applies_nothing() {
     assert_eq!(report.segment_seqno, Some(SCRIPT.len() as u64));
     assert_eq!(report.replayed_records, 0, "no record may apply twice");
     assert_eq!(
-        answers(|q| ps.query(q)),
+        answers(|q| ps.shared().query(q)),
         answers(|q| reference_store(SCRIPT.len()).query(q))
     );
     let snap = ps.read();
@@ -461,7 +464,7 @@ fn q6_letters_survive_kill_at_every_boundary() {
             Err(e) => format!("error: {e}"),
         };
         assert_eq!(
-            render(ps.query(Q6)),
+            render(ps.shared().query(Q6)),
             render(oracle.query(Q6)),
             "prefix {k}: Q6 diverges"
         );
@@ -541,7 +544,7 @@ fn injected_io_fault_sweep_recovers_the_committed_prefix() {
                 .unwrap();
         }
         assert_eq!(
-            answers(|q| ps.query(q)),
+            answers(|q| ps.shared().query(q)),
             answers(|q| oracle.query(q)),
             "case {case}: recovered state diverges from the committed prefix"
         );
@@ -580,7 +583,10 @@ fn batch_ingest_logs_one_record_per_document() {
 
     let mut oracle = DocStore::new(docql::fixtures::ARTICLE_DTD, ROOTS).unwrap();
     oracle.ingest_batch(&refs[..2]).unwrap();
-    assert_eq!(answers(|q| ps.query(q)), answers(|q| oracle.query(q)));
+    assert_eq!(
+        answers(|q| ps.shared().query(q)),
+        answers(|q| oracle.query(q))
+    );
 }
 
 #[test]
@@ -596,7 +602,7 @@ fn wal_and_checkpoint_metrics_are_recorded() {
     ps.checkpoint().unwrap();
     assert_eq!(m.checkpoints.get(), 1);
     assert!(m.segment_bytes.get() > 0);
-    let prom = ps.read().metrics_prometheus();
+    let prom = ps.read().metrics_registry().to_prometheus();
     assert!(prom.contains("docql_durable_wal_appends_total"), "{prom}");
     assert!(prom.contains("docql_durable_checkpoints_total"), "{prom}");
 }

@@ -18,9 +18,9 @@ fn db() -> Database {
             plant_every: 2,
             ..ArticleParams::default()
         });
-        db.store_mut().ingest_document(&doc).unwrap();
+        db.ingest_document(&doc).unwrap();
     }
-    let root = db.store().documents()[0];
+    let root = db.documents()[0];
     db.bind("my_article", root).unwrap();
     db
 }
@@ -60,7 +60,7 @@ fn liberal_mode_reaches_cross_references() {
     // loop detection allows longer trails, so strictly more paths exist.
     let db = db();
     let count = |sem: PathSemantics| {
-        let mut engine = db.store().engine();
+        let mut engine = db.engine();
         engine.semantics = sem;
         engine.run("my_article PATH_p").unwrap().len()
     };
@@ -80,14 +80,22 @@ fn liberal_fuel_bounds_cyclic_enumeration_without_changing_answers() {
     // the answer. This is the loop-detection regression for governance.
     let db = db();
     let q = "my_article PATH_p";
-    let mut engine = db.store().engine();
+    let mut engine = db.engine();
     engine.semantics = PathSemantics::Liberal;
     let unguarded = engine.run(q).unwrap();
     assert!(!unguarded.is_empty());
+    // A fresh guard per governed run: trips are sticky.
+    let run_governed = |limits: &QueryLimits| {
+        let guard = docql::guard::Guard::new(limits);
+        let mut governed = db.engine();
+        governed.semantics = PathSemantics::Liberal;
+        governed.guard = Some(&guard);
+        governed.run(q)
+    };
 
     // Scarce fuel: prompt, typed termination mid-cycle.
     let scarce = QueryLimits::none().with_path_fuel(5);
-    match engine.run_with_limits(q, &scarce) {
+    match run_governed(&scarce) {
         Err(docql::o2sql::O2sqlError::Interrupted(ExecError::BudgetExhausted(
             docql::guard::Resource::PathFuel,
         ))) => {}
@@ -97,13 +105,13 @@ fn liberal_fuel_bounds_cyclic_enumeration_without_changing_answers() {
 
     // Scarce fuel in degrade mode: a flagged prefix of the full answer.
     let degrade = QueryLimits::none().with_path_fuel(5).with_degrade();
-    let partial = engine.run_with_limits(q, &degrade).unwrap();
+    let partial = run_governed(&degrade).unwrap();
     assert!(partial.is_partial());
     assert!(partial.len() < unguarded.len());
 
     // Ample fuel: differential — exactly the unguarded answer, unflagged.
     let ample = QueryLimits::none().with_path_fuel(100_000_000);
-    let governed = engine.run_with_limits(q, &ample).unwrap();
+    let governed = run_governed(&ample).unwrap();
     assert!(!governed.is_partial());
     assert_eq!(governed.rows, unguarded.rows);
 }
@@ -116,7 +124,7 @@ fn both_modes_agree_under_restricted_semantics() {
         "select name(ATT_a) from my_article PATH_p.ATT_a(v) where v contains (\"draft\")",
     ] {
         let i: BTreeSet<_> = db.query(q).unwrap().rows.into_iter().collect();
-        let mut engine = db.store().engine();
+        let mut engine = db.engine();
         engine.mode = Mode::Algebraic;
         let a: BTreeSet<_> = engine.run(q).unwrap().rows.into_iter().collect();
         assert_eq!(i, a, "{q}");
@@ -152,8 +160,8 @@ fn prelude_exports_cover_the_quickstart_surface() {
     fn assert_usable(_: &DocStore, _: &QueryResult, _: PathSemantics) {}
     let db = db();
     let r = db.query("select a from a in Articles").unwrap();
-    assert_usable(db.store(), &r, PathSemantics::Restricted);
-    let _engine: Engine<'_> = db.store().engine();
+    assert_usable(&db, &r, PathSemantics::Restricted);
+    let _engine: Engine<'_> = db.engine();
     let _v: Value = Value::Int(1);
     let _s: Sym = sym("x");
 }

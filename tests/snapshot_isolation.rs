@@ -63,7 +63,12 @@ fn pinned_snapshot_serves_pre_ingest_results_while_writer_publishes() {
                             "reader {reader}: pinned snapshot diverged on {q}"
                         );
                         assert_eq!(
-                            rendered(&pinned.query_algebraic(q).unwrap()),
+                            rendered(
+                                &pinned
+                                    .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                                    .0
+                                    .unwrap()
+                            ),
                             reference[i],
                             "reader {reader}: pinned snapshot (algebraic) diverged on {q}"
                         );
@@ -138,7 +143,14 @@ fn pinned_snapshot_differential_holds_under_fault_injection() {
     let shared = SharedStore::new(article_store(BASE_DOCS));
     let reference: Vec<String> = ARTICLE_QUERIES
         .iter()
-        .map(|q| rendered(&shared.query_algebraic(q).unwrap()))
+        .map(|q| {
+            rendered(
+                &shared
+                    .query_traced(q, Mode::Algebraic, &QueryLimits::none())
+                    .0
+                    .unwrap(),
+            )
+        })
         .collect();
     let pinned = shared.read();
     let base = fault_base_seed();
@@ -161,7 +173,10 @@ fn pinned_snapshot_differential_holds_under_fault_injection() {
                 if case % 2 == 1 {
                     limits = limits.with_degrade();
                 }
-                match pinned.query_algebraic_with_limits(ARTICLE_QUERIES[qi], &limits) {
+                match pinned
+                    .query_traced(ARTICLE_QUERIES[qi], Mode::Algebraic, &limits)
+                    .0
+                {
                     Ok(r) if r.is_partial() => {} // degraded: legitimately partial
                     Ok(r) => {
                         assert_eq!(
@@ -189,7 +204,12 @@ fn pinned_snapshot_differential_holds_under_fault_injection() {
 
     // Both the pinned version and the store as a whole stay serviceable.
     assert_eq!(
-        rendered(&pinned.query_algebraic(ARTICLE_QUERIES[0]).unwrap()),
+        rendered(
+            &pinned
+                .query_traced(ARTICLE_QUERIES[0], Mode::Algebraic, &QueryLimits::none())
+                .0
+                .unwrap()
+        ),
         reference[0]
     );
     let fresh = shared.read();
